@@ -15,7 +15,7 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from vologcalc.fpnmod import kummer_class_from_value, normalize_class, synderi_check
+from vologcalc.fpnmod import kummer_class_from_value, synderi_check
 from vologcalc.graphs import cycle_graph, d_star, laplacian, rational_cochain
 from vologcalc.loglaurent import AnnulusForm
 from vologcalc.padic import PadicContext
@@ -57,8 +57,8 @@ def main() -> None:
     print()
     num, den = 50, 7
     M, t = kummer_class_from_value(5, num, den, 14)
-    nf = normalize_class(M, t)
     witness = synderi_check(M, t)
+    nf = witness.normal_form
     print(f"unit model for {num}/{den} over Q_5:")
     print(f"  filtration component (log at the reference branch) = {nf.beta[0]!r}")
     print(f"  discrete component (valuation) = {nf.rho[0]}")

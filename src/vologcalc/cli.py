@@ -4,7 +4,8 @@ Subcommands: padic-log, graph-project, volog-assemble, volog-ddlog,
 volog-iterated, height-local (also reachable as `height local`), fpn-split.
 Output is deterministic: keys sorted, no timestamps. Exit codes: 0 success,
 2 parse error, 3 mathematical precondition failure, 4 precision or
-truncation overflow. `--schema` on any subcommand prints its input schema.
+truncation overflow. `--schema` on any subcommand prints its input schema,
+the file `schemas/<subcommand>.json` shipped in this package.
 The environment variable VOLOG_PRECISION overrides the default working
 precision.
 """
@@ -17,12 +18,7 @@ import os
 import sys
 
 from .errors import PreconditionError, PrecisionOverflow
-from .fpnmod import (
-    module_from_json,
-    normalize_class,
-    synderi_check,
-    triple_from_json,
-)
+from .fpnmod import module_from_json, synderi_check, triple_from_json
 from .graphs import Cochain, VertexFn, graph_from_json, harmonic_project
 from .heights import divisor_from_json, local_height_report
 from .jsonutil import frac_from_str, frac_to_str
@@ -44,87 +40,7 @@ from .volog import (
     iterated_derivative,
 )
 
-SCHEMAS = {
-    "padic-log": {
-        "flags": {
-            "--p": "prime",
-            "--num": "integer numerator",
-            "--den": "integer denominator (default 1)",
-            "--prec": "relative precision (default VOLOG_PRECISION or 20)",
-        },
-        "output": {"p": "int", "val": "int", "lambda_coeff": "int", "log": "UniversalScalar"},
-    },
-    "graph-project": {
-        "flags": {"--graph": "graph file", "--cochain": "cochain file", "--anchor": "vertex"},
-        "graph": {"vertices": ["id"], "edges": [{"id": "str", "tail": "id", "head": "id"}]},
-        "cochain": {"values": {"edge-id": "rational string"}},
-        "output": {"harmonic": "cochain values", "gamma": "vertex values", "anchor": "id"},
-    },
-    "volog-assemble": {
-        "flags": {"--job": "job file", "--lambda-cap": "branch degree cap (default 4)"},
-        "job": {
-            "p": "prime (optional, inferred from scalar values)",
-            "prec": "precision (optional)",
-            "graph": "graph object",
-            "anchor": "vertex (optional)",
-            "edges": [
-                {"id": "str", "raw_c": "UniversalScalar"},
-                {
-                    "id": "str",
-                    "form": {"window": "int", "coeffs": {"k": "UniversalScalar"}},
-                    "C_tail": "UniversalScalar",
-                    "C_head": "UniversalScalar",
-                },
-            ],
-        },
-        "output": {"gamma": "vertex -> UniversalScalar", "harmonic": "edge -> UniversalScalar"},
-    },
-    "volog-ddlog": {
-        "flags": {"--graph": "graph file", "--residues": "vertex residues file", "--anchor": "vertex"},
-        "residues": {"values": {"vertex-id": "rational string"}},
-        "output": {"derivative": "vertex -> rational", "anchor": "id"},
-    },
-    "volog-iterated": {
-        "flags": {"--job": "job file"},
-        "job": {
-            "graph": "graph object",
-            "c_omega": "cochain values",
-            "c_eta": "cochain values",
-            "res_omega": "cochain values",
-            "res_eta": "cochain values",
-            "indices": "cochain values",
-            "anchor": "vertex (optional)",
-        },
-        "output": {"derivative": "vertex -> rational", "anchor": "id"},
-    },
-    "height-local": {
-        "flags": {"--graph": "graph file", "--D": "divisor file", "--E": "divisor file", "--anchor": "vertex"},
-        "divisor": {
-            "points": [{"label": "str", "multiplicity": "int", "component": "vertex-id"}],
-            "horizontal_pairings": [{"own": "label", "other": "label", "value": "rational string"}],
-        },
-        "output": {
-            "value": "rational string",
-            "vertical": "rational string",
-            "horizontal": "rational string",
-            "anchor": "id",
-            "normalization": "str",
-        },
-    },
-    "fpn-split": {
-        "flags": {"--module": "module file", "--class": "cocycle file"},
-        "module": {
-            "p": "prime",
-            "weights": ["int"],
-            "phi": [["rational string"]],
-            "N": [["rational string"]],
-            "iso": [["rational string"]],
-            "f0": [["rational string"]],
-        },
-        "class": {"x": ["rational string"], "y": ["rational string"], "z": ["rational string"]},
-        "output": {"beta": ["rational string"], "rho": ["rational string"], "synderi": "bool"},
-    },
-}
+_SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
 
 def _default_precision() -> int:
@@ -323,11 +239,10 @@ def _cmd_height_local(args) -> dict:
 def _cmd_fpn_split(args) -> dict:
     M = module_from_json(_load_json(args.module))
     t = triple_from_json(_load_json(args.class_file))
-    nf = normalize_class(M, t)
     witness = synderi_check(M, t)
     return {
-        "beta": [frac_to_str(v) for v in nf.beta],
-        "rho": [frac_to_str(v) for v in nf.rho],
+        "beta": [frac_to_str(v) for v in witness.normal_form.beta],
+        "rho": [frac_to_str(v) for v in witness.normal_form.rho],
         "synderi": witness.ok,
     }
 
@@ -403,8 +318,9 @@ def run(argv) -> int:
     argv = list(argv)
     if tuple(argv[:2]) in _ALIASES:
         argv = [_ALIASES[tuple(argv[:2])]] + argv[2:]
-    if argv and argv[0] in SCHEMAS and "--schema" in argv:
-        sys.stdout.write(json.dumps(SCHEMAS[argv[0]], sort_keys=True, indent=2) + "\n")
+    if argv and "--schema" in argv and f"{argv[0]}.json" in os.listdir(_SCHEMA_DIR):
+        with open(os.path.join(_SCHEMA_DIR, f"{argv[0]}.json"), encoding="utf-8") as fh:
+            sys.stdout.write(fh.read())
         return 0
     parser = _build_parser()
     try:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import PreconditionError
+from .jsonutil import frac_to_str
 from .linalg import (
     gauss_solve,
     identity,
@@ -420,6 +421,7 @@ class SynderiWitness:
     derivative: tuple
     minus_iso_rho: tuple
     beta_poly: tuple
+    normal_form: NormalForm
 
 
 def synderi_check(M: FpnModule, t: StTriple) -> SynderiWitness:
@@ -430,7 +432,7 @@ def synderi_check(M: FpnModule, t: StTriple) -> SynderiWitness:
     normalized y, reduced mod F^0 (both the triple and the normalizing
     differential move, and their shifts combine into the normalized y). The
     check compares the degree-1 coefficient with -I(rho) and returns both,
-    plus the whole polynomial for inspection.
+    plus the whole polynomial and the normal form it checked, for inspection.
     """
     nf = normalize_class(M, t)
     y_norm = nf.triple.y
@@ -450,7 +452,7 @@ def synderi_check(M: FpnModule, t: StTriple) -> SynderiWitness:
         derivative = coeffs[1]
     minus_iso_rho = M.reduce_mod_f0(tuple(-v for v in mat_vec(M.iso, nf.rho)))
     ok = all(a == b for a, b in zip(derivative, minus_iso_rho))
-    return SynderiWitness(ok, derivative, minus_iso_rho, tuple(coeffs))
+    return SynderiWitness(ok, derivative, minus_iso_rho, tuple(coeffs), nf)
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +502,14 @@ def kummer_class_from_value(p: int, num: int, den: int, prec: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(v) -> str:
-    return str(Fraction(v))
-
-
 def module_to_json(M: FpnModule) -> dict:
     return {
         "p": M.p,
         "weights": list(M.weights),
-        "phi": [[_frac_str(v) for v in row] for row in M.phi],
-        "N": [[_frac_str(v) for v in row] for row in M.N],
-        "iso": [[_frac_str(v) for v in row] for row in M.iso],
-        "f0": [[_frac_str(v) for v in vec] for vec in M.f0],
+        "phi": [[frac_to_str(v) for v in row] for row in M.phi],
+        "N": [[frac_to_str(v) for v in row] for row in M.N],
+        "iso": [[frac_to_str(v) for v in row] for row in M.iso],
+        "f0": [[frac_to_str(v) for v in vec] for vec in M.f0],
     }
 
 
@@ -528,9 +526,9 @@ def module_from_json(obj: dict) -> FpnModule:
 
 def triple_to_json(t: StTriple) -> dict:
     return {
-        "x": [_frac_str(v) for v in t.x],
-        "y": [_frac_str(v) for v in t.y],
-        "z": [_frac_str(v) for v in t.z],
+        "x": [frac_to_str(v) for v in t.x],
+        "y": [frac_to_str(v) for v in t.y],
+        "z": [frac_to_str(v) for v in t.z],
     }
 
 

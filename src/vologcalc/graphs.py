@@ -1,11 +1,15 @@
 """Exact cohomology of finite graphs over a configurable coefficient field.
 
 The dual graph of a semi-stable model is simple (no loops, no multi-edges)
-and connected; both are enforced. Cochains are antisymmetric edge functions:
-a value is stored on the chosen orientation and the accessor negates on the
-reversed one. Coefficients are duck-typed: anything with exact +, -, int
-multiples and exact division by int works, so the same solver runs over
-Fraction and over branch-parameter polynomials.
+and connected; both are enforced. Each graph builds its incidence index once,
+in edge order, and `degree`, `incident` and the connectivity check read it.
+`DualGraph.laplacian_matrix` is the one integer Laplacian: the Poisson solver
+deletes the anchor's row and column from it, and the height pairing negates
+it. Cochains are antisymmetric edge functions: a value is stored on the
+chosen orientation and the accessor negates on the reversed one.
+Coefficients are duck-typed: anything with exact +, -, int multiples and
+exact division by int works, so the same solver runs over Fraction and over
+branch-parameter polynomials.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ class DualGraph:
     vertices: tuple
     edges: tuple
     connected: bool = field(init=False, default=False)
+    _incidence: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
@@ -37,12 +42,12 @@ class DualGraph:
             raise PreconditionError("duplicate vertex ids")
         seen_ids = set()
         seen_pairs = set()
-        vset = set(self.vertices)
+        incidence = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.id in seen_ids:
                 raise PreconditionError(f"duplicate edge id {e.id!r}")
             seen_ids.add(e.id)
-            if e.tail not in vset or e.head not in vset:
+            if e.tail not in incidence or e.head not in incidence:
                 raise PreconditionError(f"edge {e.id!r} references unknown vertex")
             if e.tail == e.head:
                 raise PreconditionError(f"self-loop at {e.tail!r} rejected")
@@ -52,42 +57,44 @@ class DualGraph:
                     f"multiple edges between {e.tail!r} and {e.head!r} rejected"
                 )
             seen_pairs.add(pair)
+            incidence[e.tail].append((e, 1))
+            incidence[e.head].append((e, -1))
+        object.__setattr__(
+            self, "_incidence", {v: tuple(out) for v, out in incidence.items()}
+        )
         object.__setattr__(self, "connected", self._is_connected())
 
     def _is_connected(self) -> bool:
-        if len(self.vertices) == 1:
-            return True
-        adj = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].append(e.head)
-            adj[e.head].append(e.tail)
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            for w in adj[stack.pop()]:
+            for e, sign in self.incident(stack.pop()):
+                w = e.head if sign == 1 else e.tail
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(self.vertices)
 
     def degree(self, v) -> int:
-        return sum(1 for e in self.edges if v in (e.tail, e.head))
+        return len(self._incidence[v])
 
     def incident(self, v):
-        """Oriented edges with tail v as (edge, sign on the stored orientation)."""
-        out = []
-        for e in self.edges:
-            if e.tail == v:
-                out.append((e, 1))
-            elif e.head == v:
-                out.append((e, -1))
-        return out
+        """Oriented edges with tail v as (edge, sign on the stored orientation),
+        in edge order."""
+        return self._incidence[v]
 
-    def edge_by_id(self, edge_id) -> Edge:
+    def laplacian_matrix(self):
+        """Integer Laplacian in vertex order: degrees on the diagonal, -1 for
+        each pair of adjacent vertices."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        n = len(self.vertices)
+        mat = [[0] * n for _ in range(n)]
+        for v in self.vertices:
+            mat[index[v]][index[v]] = self.degree(v)
         for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise PreconditionError(f"no edge with id {edge_id!r}")
+            mat[index[e.tail]][index[e.head]] = -1
+            mat[index[e.head]][index[e.tail]] = -1
+        return mat
 
     def require_connected(self):
         if not self.connected:
@@ -215,11 +222,8 @@ def laplacian(f: VertexFn) -> VertexFn:
     out = {}
     for v in g.vertices:
         acc = g.degree(v) * f.values[v]
-        for e in g.edges:
-            if e.tail == v:
-                acc = acc - f.values[e.head]
-            elif e.head == v:
-                acc = acc - f.values[e.tail]
+        for e, sign in g.incident(v):
+            acc = acc - f.values[e.head if sign == 1 else e.tail]
         out[v] = acc
     return VertexFn(g, out)
 
@@ -235,8 +239,9 @@ def solve_poisson(g_fn: VertexFn, anchor=None) -> VertexFn:
     """Unique f with laplacian(f) = g and f(anchor) = 0.
 
     Requires a connected graph and total sum zero (the image of the Laplacian
-    is the mean-zero hyperplane). Solved by fraction-free elimination on the
-    integer Laplacian with the anchor row and column deleted.
+    is the mean-zero hyperplane); this is the one place that solvability is
+    checked. Solved by fraction-free elimination on the integer Laplacian
+    with the anchor row and column deleted.
     """
     g = g_fn.graph
     g.require_connected()
@@ -248,24 +253,16 @@ def solve_poisson(g_fn: VertexFn, anchor=None) -> VertexFn:
         total = total + g_fn.values[v]
     if not _is_zero(total):
         raise PreconditionError("Poisson data does not sum to zero over V")
-    others = [v for v in g.vertices if v != anchor]
     zero = g_fn.values[anchor] - g_fn.values[anchor]
-    if not others:
+    if len(g.vertices) == 1:
         return VertexFn(g, {anchor: zero})
-    index = {v: i for i, v in enumerate(others)}
-    n = len(others)
-    mat = [[0] * n for _ in range(n)]
-    for v in others:
-        mat[index[v]][index[v]] = g.degree(v)
-    for e in g.edges:
-        if e.tail in index and e.head in index:
-            mat[index[e.tail]][index[e.head]] -= 1
-            mat[index[e.head]][index[e.tail]] -= 1
-    rhs = [g_fn.values[v] for v in others]
-    sol = bareiss_solve(mat, rhs)
+    k = g.vertices.index(anchor)
+    others = g.vertices[:k] + g.vertices[k + 1 :]
+    lap = g.laplacian_matrix()
+    mat = [row[:k] + row[k + 1 :] for i, row in enumerate(lap) if i != k]
+    sol = bareiss_solve(mat, [g_fn.values[v] for v in others])
     out = {anchor: zero}
-    for v in others:
-        out[v] = sol[index[v]]
+    out.update(zip(others, sol))
     return VertexFn(g, out)
 
 
@@ -293,10 +290,6 @@ def vertex_inner(f1: VertexFn, f2: VertexFn):
     for v in f1.graph.vertices:
         acc = acc + f1.values[v] * f2.values[v]
     return acc
-
-
-def constant_vertex_fn(g: DualGraph, value) -> VertexFn:
-    return VertexFn(g, {v: value for v in g.vertices})
 
 
 def rational_vertex_fn(g: DualGraph, values: dict) -> VertexFn:

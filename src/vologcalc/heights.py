@@ -85,15 +85,7 @@ def intersection_matrix(graph: DualGraph):
     degree on the diagonal. Rows sum to zero; the matrix is minus the graph
     Laplacian."""
     graph.require_connected()
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(graph.vertices)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for v in graph.vertices:
-        m[idx[v]][idx[v]] = Fraction(-graph.degree(v))
-    for e in graph.edges:
-        m[idx[e.tail]][idx[e.head]] += 1
-        m[idx[e.head]][idx[e.tail]] += 1
-    return m
+    return [[Fraction(-x) for x in row] for row in graph.laplacian_matrix()]
 
 
 def vertical_correction(graph: DualGraph, D: DivisorPlacement, anchor=None) -> VertexFn:

@@ -1,12 +1,10 @@
-"""Shared JSON helpers: exact rationals as "n/d" strings, and coefficient
-values that are either rationals (strings) or branch polynomials (objects)."""
+"""Shared JSON helpers: exact rationals as "n/d" strings."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .padic import DEFAULT_LAMBDA_CAP, UniversalScalar, scalar_from_json, scalar_to_json
 
 
 def frac_to_str(v) -> str:
@@ -18,19 +16,3 @@ def frac_from_str(s) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"not a rational number: {s!r}") from exc
-
-
-def coeff_to_json(v):
-    if isinstance(v, UniversalScalar):
-        return scalar_to_json(v)
-    return frac_to_str(v)
-
-
-def coeff_from_json(obj, cap: int = DEFAULT_LAMBDA_CAP):
-    if isinstance(obj, dict):
-        return scalar_from_json(obj, cap)
-    return frac_from_str(obj)
-
-
-def values_map_to_json(values: dict) -> dict:
-    return {str(k): coeff_to_json(v) for k, v in values.items()}

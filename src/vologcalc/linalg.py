@@ -1,10 +1,12 @@
 """Exact dense linear algebra used internally.
 
-Two solvers: fraction-free (Bareiss) elimination over integer matrices with a
-generic right-hand side, used for graph Laplacians, and plain exact Gaussian
-elimination over Fractions for the module-theoretic computations. Right-hand
-sides only need +, -, multiplication by int and exact division by int, so the
-same code serves Fraction, PadicNumber and UniversalScalar entries.
+Two routines: fraction-free (Bareiss) elimination over integer matrices with
+a generic right-hand side, used for graph Laplacians, and one Gauss-Jordan
+echelon routine over Fractions (`row_echelon_basis`) for the module-theoretic
+computations; `gauss_solve` and `is_invertible` read their answers off it.
+Bareiss right-hand sides only need +, -, multiplication by int and exact
+division by int, so the same code serves Fraction, PadicNumber and
+UniversalScalar entries.
 """
 
 from __future__ import annotations
@@ -48,61 +50,21 @@ def bareiss_solve(matrix, rhs):
 
 
 def gauss_solve(matrix, rhs):
-    """Solve A x = b for square Fraction A (nonsingular), generic b."""
+    """Solve A x = b for square Fraction A (nonsingular), generic b, by
+    echelonizing [A | b]."""
     n = len(matrix)
-    a = [[Fraction(v) for v in row] for row in matrix]
-    b = list(rhs)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise PreconditionError("singular system in exact solve")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / pivot
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] = b[r] - b[col] * factor
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, n):
-            acc = acc - x[j] * a[i][j]
-        x[i] = acc / a[i][i]
-    return x
-
-
-def rank(matrix) -> int:
-    """Rank of a Fraction matrix by row reduction."""
-    if not matrix:
-        return 0
-    a = [[Fraction(v) for v in row] for row in matrix]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][col]
-        for i in range(r + 1, rows):
-            if a[i][col] != 0:
-                factor = a[i][col] / pivot
-                for c in range(col, cols):
-                    a[i][c] -= factor * a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    rows, pivots = row_echelon_basis(
+        [[Fraction(v) for v in row] + [b] for row, b in zip(matrix, rhs, strict=True)]
+    )
+    if pivots != list(range(n)):
+        raise PreconditionError("singular system in exact solve")
+    return [row[n] for row in rows]
 
 
 def is_invertible(matrix) -> bool:
     n = len(matrix)
-    return n == 0 or rank(matrix) == n
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    return len(row_echelon_basis(rows)[1]) == n
 
 
 def mat_vec(matrix, vec):
@@ -129,11 +91,6 @@ def identity(n):
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
         for i in range(n)
     )
-
-
-def zero_matrix(n, m=None):
-    m = n if m is None else m
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
 
 
 def row_echelon_basis(vectors):

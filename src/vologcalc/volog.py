@@ -144,17 +144,7 @@ def derivative_vertex_function(residues: VertexFn, anchor=None) -> VertexFn:
     The profile must sum to zero (residue theorem); the anchor pins down the
     additive constant the derivative is otherwise only defined up to.
     """
-    total = 0
-    for v in residues.graph.vertices:
-        total = total + residues.values[v]
-    if not _zero(total):
-        raise PreconditionError("vertex residues must sum to zero")
     return solve_poisson(residues, anchor)
-
-
-def _zero(x) -> bool:
-    z = getattr(x, "is_zero", None)
-    return z if z is not None else x == 0
 
 
 def deriter_rhs(
@@ -200,16 +190,10 @@ def iterated_derivative(
     Callers supply the two harmonic difference cochains, the two antisymmetric
     annulus-residue cochains, and the per-edge index values. The vertex data
     must sum to zero over V; that solvability is the theorem's internal
-    consistency and is enforced, everything else is the caller's contract.
+    consistency and is enforced by the Poisson solve, everything else is the
+    caller's contract.
     """
     rhs = deriter_rhs(c_omega, c_eta, res_omega, res_eta, indices)
-    total = 0
-    for v in rhs.graph.vertices:
-        total = total + rhs.values[v]
-    if not _zero(total):
-        raise PreconditionError(
-            "iterated-derivative data is inconsistent: vertex sums do not cancel"
-        )
     return solve_poisson(rhs, anchor)
 
 

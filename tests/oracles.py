@@ -12,9 +12,9 @@ def laplacian_matrix(g):
     n = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
     m = [[Fraction(0)] * n for _ in range(n)]
-    for v in g.vertices:
-        m[idx[v]][idx[v]] = Fraction(g.degree(v))
     for e in g.edges:
+        m[idx[e.tail]][idx[e.tail]] += 1
+        m[idx[e.head]][idx[e.head]] += 1
         m[idx[e.tail]][idx[e.head]] -= 1
         m[idx[e.head]][idx[e.tail]] -= 1
     return m

@@ -3,11 +3,12 @@ import pathlib
 import subprocess
 import sys
 
-from vologcalc.cli import SCHEMAS, run
+from vologcalc.cli import run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
+SCHEMAS = ROOT / "src" / "vologcalc" / "schemas"
 
 
 def run_cli(args, capsys, env=None):
@@ -170,16 +171,15 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_schema_flag(capsys):
-    for name in SCHEMAS:
-        code, out = run_cli([name, "--schema"], capsys)
+    files = sorted(SCHEMAS.glob("*.json"))
+    assert [f.stem for f in files] == sorted(
+        ["padic-log", "graph-project", "volog-assemble", "volog-ddlog",
+         "volog-iterated", "height-local", "fpn-split"]
+    )
+    for path in files:
+        code, out = run_cli([path.stem, "--schema"], capsys)
         assert code == 0
-        assert json.loads(out) == SCHEMAS[name]
-
-
-def test_schema_files_in_sync():
-    for name, schema in SCHEMAS.items():
-        on_disk = json.loads((ROOT / "schemas" / f"{name}.json").read_text())
-        assert on_disk == schema
+        assert out.encode("utf-8") == path.read_bytes()
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -201,6 +201,29 @@ def test_exit_code_precondition(tmp_path, capsys):
          "--D", str(bad), "--E", str(FIXTURES / "divisor_E.json")],
         capsys,
     )
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "precondition"
+
+
+def test_ddlog_unbalanced_residues_exit_3(tmp_path, capsys):
+    residues = tmp_path / "residues.json"
+    residues.write_text(json.dumps({"values": {"v0": "1", "v1": "0", "v2": "0"}}))
+    code, out = run_cli(
+        ["volog-ddlog", "--graph", str(FIXTURES / "cycle3.json"),
+         "--residues", str(residues)],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "precondition"
+
+
+def test_iterated_inconsistent_data_exit_3(tmp_path, capsys):
+    job = json.loads((FIXTURES / "job_iterated_3cycle.json").read_text())
+    # the index flux always cancels; an unbalanced residue product does not
+    job["res_omega"]["values"]["e0"] = "2"
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out = run_cli(["volog-iterated", "--job", str(path)], capsys)
     assert code == 3
     assert json.loads(out)["error"]["type"] == "precondition"
 

@@ -21,10 +21,12 @@ from vologcalc.graphs import (
     solve_poisson,
     vertex_inner,
 )
+from vologcalc.heights import intersection_matrix
 from vologcalc.padic import PadicContext
 
 from .oracles import (
     d_star_matrix,
+    laplacian_matrix,
     poisson_oracle,
     random_connected_graph,
     rank_oracle,
@@ -147,6 +149,23 @@ def test_adjointness_and_decomposition_random():
             g, {v: f.values[g.vertices[0]] for v in g.vertices}
         )
         assert solve_poisson(laplacian(anchored)) == anchored
+
+
+def test_incidence_index_and_laplacian_matrix_random():
+    rng = random.Random(2502)
+    for _ in range(40):
+        # vertex order shuffled so that it differs from the edge order
+        g = random_connected_graph(
+            rng, 12, lambda vs, es: graph(rng.sample(list(vs), len(vs)), es)
+        )
+        for v in g.vertices:
+            scan = [(e, 1 if e.tail == v else -1) for e in g.edges if v in (e.tail, e.head)]
+            assert list(g.incident(v)) == scan
+            assert g.degree(v) == len(scan)
+        lap = g.laplacian_matrix()
+        assert all(type(x) is int for row in lap for x in row)
+        assert lap == laplacian_matrix(g)
+        assert intersection_matrix(g) == [[-x for x in row] for row in laplacian_matrix(g)]
 
 
 def test_harmonic_dimension_formula():
