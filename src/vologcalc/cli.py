@@ -239,6 +239,10 @@ def _cmd_height_local(args) -> dict:
 def _cmd_fpn_split(args) -> dict:
     M = module_from_json(_load_json(args.module))
     t = triple_from_json(_load_json(args.class_file))
+    if not len(t.x) == len(t.y) == len(t.z) == M.dim:
+        raise PreconditionError(
+            f"class vectors x, y, z must each have the module dimension {M.dim}"
+        )
     witness = synderi_check(M, t)
     return {
         "beta": [frac_to_str(v) for v in witness.normal_form.beta],

@@ -3,13 +3,17 @@
 The dual graph of a semi-stable model is simple (no loops, no multi-edges)
 and connected; both are enforced. Each graph builds its incidence index once,
 in edge order, and `degree`, `incident` and the connectivity check read it.
-`DualGraph.laplacian_matrix` is the one integer Laplacian: the Poisson solver
-deletes the anchor's row and column from it, and the height pairing negates
-it. Cochains are antisymmetric edge functions: a value is stored on the
-chosen orientation and the accessor negates on the reversed one.
-Coefficients are duck-typed: anything with exact +, -, int multiples and
-exact division by int works, so the same solver runs over Fraction and over
-branch-parameter polynomials.
+`DualGraph.laplacian_matrix` is the one integer Laplacian: the height pairing
+negates it, and the Poisson solver factors it with the anchor's row and
+column deleted. That fraction-free factorization is computed once per anchor
+and held by the graph (`reduced_laplacian_factor`); graphs are immutable, so
+it never goes stale, and every later solve on the same (graph, anchor) only
+replays it. Cochains are antisymmetric edge functions: a value is stored on
+the chosen orientation and the accessor negates on the reversed one.
+Coefficients are duck-typed: rational data is solved by integer-only work
+with exact Fraction results, and anything else with exact +, -, int
+multiples and exact division by int (p-adic numbers, branch-parameter
+polynomials) replays the same elimination.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .linalg import bareiss_solve
+from .linalg import bareiss_factor, bareiss_solve
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,7 @@ class DualGraph:
     edges: tuple
     connected: bool = field(init=False, default=False)
     _incidence: dict = field(init=False, default=None, repr=False, compare=False)
+    _factors: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vertices:
@@ -63,6 +68,7 @@ class DualGraph:
             self, "_incidence", {v: tuple(out) for v, out in incidence.items()}
         )
         object.__setattr__(self, "connected", self._is_connected())
+        object.__setattr__(self, "_factors", {})
 
     def _is_connected(self) -> bool:
         seen = {self.vertices[0]}
@@ -95,6 +101,19 @@ class DualGraph:
             mat[index[e.tail]][index[e.head]] = -1
             mat[index[e.head]][index[e.tail]] = -1
         return mat
+
+    def reduced_laplacian_factor(self, anchor):
+        """Bareiss factor of the Laplacian with the anchor's row and column
+        deleted, computed on first use and kept for the graph's lifetime."""
+        factor = self._factors.get(anchor)
+        if factor is None:
+            k = self.vertices.index(anchor)
+            lap = self.laplacian_matrix()
+            factor = bareiss_factor(
+                [row[:k] + row[k + 1 :] for i, row in enumerate(lap) if i != k]
+            )
+            self._factors[anchor] = factor
+        return factor
 
     def require_connected(self):
         if not self.connected:
@@ -240,8 +259,9 @@ def solve_poisson(g_fn: VertexFn, anchor=None) -> VertexFn:
 
     Requires a connected graph and total sum zero (the image of the Laplacian
     is the mean-zero hyperplane); this is the one place that solvability is
-    checked. Solved by fraction-free elimination on the integer Laplacian
-    with the anchor row and column deleted.
+    checked. Solved against the graph's cached fraction-free factor of the
+    integer Laplacian with the anchor row and column deleted; int and
+    Fraction data give Fraction values.
     """
     g = g_fn.graph
     g.require_connected()
@@ -254,13 +274,14 @@ def solve_poisson(g_fn: VertexFn, anchor=None) -> VertexFn:
     if not _is_zero(total):
         raise PreconditionError("Poisson data does not sum to zero over V")
     zero = g_fn.values[anchor] - g_fn.values[anchor]
+    if type(zero) is int:
+        zero = Fraction(0)
     if len(g.vertices) == 1:
         return VertexFn(g, {anchor: zero})
-    k = g.vertices.index(anchor)
-    others = g.vertices[:k] + g.vertices[k + 1 :]
-    lap = g.laplacian_matrix()
-    mat = [row[:k] + row[k + 1 :] for i, row in enumerate(lap) if i != k]
-    sol = bareiss_solve(mat, [g_fn.values[v] for v in others])
+    others = [v for v in g.vertices if v != anchor]
+    sol = bareiss_solve(
+        g.reduced_laplacian_factor(anchor), [g_fn.values[v] for v in others]
+    )
     out = {anchor: zero}
     out.update(zip(others, sol))
     return VertexFn(g, out)

@@ -1,30 +1,48 @@
 """Exact dense linear algebra used internally.
 
-Two routines: fraction-free (Bareiss) elimination over integer matrices with
-a generic right-hand side, used for graph Laplacians, and one Gauss-Jordan
-echelon routine over Fractions (`row_echelon_basis`) for the module-theoretic
-computations; `gauss_solve` and `is_invertible` read their answers off it.
-Bareiss right-hand sides only need +, -, multiplication by int and exact
-division by int, so the same code serves Fraction, PadicNumber and
-UniversalScalar entries.
+Two routines: fraction-free (Bareiss) elimination over integer matrices, used
+for graph Laplacians, and one Gauss-Jordan echelon routine over Fractions
+(`row_echelon_basis`) for the module-theoretic computations; `gauss_solve`
+and `is_invertible` read their answers off it.
+
+Bareiss elimination is split from solving: `bareiss_factor` runs the integer
+forward elimination once and records it, and `bareiss_solve` solves any
+number of right-hand sides against that record. A rational right-hand side
+(int and Fraction entries) is solved by integer-only work and one Fraction
+division per entry. Any other coefficient type (PadicNumber,
+UniversalScalar) replays the recorded multipliers on b with +, -,
+multiplication by int and exact division by each pivot, so its precision
+follows the elimination step by step.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 
 
-def bareiss_solve(matrix, rhs):
-    """Solve A x = b for square integer A (nonsingular) and generic b.
+@dataclass(frozen=True)
+class BareissFactor:
+    """Record of fraction-free forward elimination of a square integer matrix.
 
-    Fraction-free forward elimination keeps all matrix intermediates integral;
-    the RHS column is carried with the same exact updates.
+    `upper` is the eliminated matrix (upper triangular, last pivot +-det);
+    `steps[col]` is (pivot row swapped into col, pivot, previous pivot,
+    multipliers a[r][col] for the rows r below col).
     """
+
+    upper: tuple
+    steps: tuple
+
+
+def bareiss_factor(matrix) -> BareissFactor:
+    """Fraction-free forward elimination of square nonsingular integer A,
+    recorded for `bareiss_solve`; every intermediate stays integral."""
     n = len(matrix)
     a = [list(row) for row in matrix]
-    b = list(rhs)
+    steps = []
     prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
@@ -32,14 +50,35 @@ def bareiss_solve(matrix, rhs):
             raise PreconditionError("singular system in fraction-free solve")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        pivot = a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col]
-            for c in range(col, n):
-                a[r][c] = (pivot * a[r][c] - factor * a[col][c]) // prev
-            b[r] = (b[r] * pivot - b[col] * factor) / prev
+        top = a[col][col:]
+        pivot = top[0]
+        factors = tuple(a[r][col] for r in range(col + 1, n))
+        for r, f in enumerate(factors, col + 1):
+            a[r][col:] = [(pivot * x - f * y) // prev for x, y in zip(a[r][col:], top)]
+        steps.append((piv, pivot, prev, factors))
         prev = pivot
+    return BareissFactor(tuple(tuple(row) for row in a), tuple(steps))
+
+
+def bareiss_solve(factor: BareissFactor, rhs):
+    """Solve A x = b against the recorded elimination of A.
+
+    Rational b is scaled to integers by the lcm of its denominators; every
+    replayed entry is then a minor of [A | b] (Sylvester's identity), so the
+    divisions are exact `//`, and back substitution is scaled by the last
+    pivot so that each x_i costs one Fraction division. Other coefficient
+    types replay the recorded multipliers with exact division by int.
+    """
+    if all(type(v) is int or type(v) is Fraction for v in rhs):
+        return _solve_rational(factor, rhs)
+    a = factor.upper
+    b = list(rhs)
+    for col, (piv, pivot, prev, factors) in enumerate(factor.steps):
+        if piv != col:
+            b[col], b[piv] = b[piv], b[col]
+        for r, f in enumerate(factors, col + 1):
+            b[r] = (b[r] * pivot - b[col] * f) / prev
+    n = len(b)
     x = [None] * n
     for i in range(n - 1, -1, -1):
         acc = b[i]
@@ -47,6 +86,28 @@ def bareiss_solve(matrix, rhs):
             acc = acc - x[j] * a[i][j]
         x[i] = acc / a[i][i]
     return x
+
+
+def _solve_rational(factor: BareissFactor, rhs):
+    scale = math.lcm(*(v.denominator for v in rhs))
+    b = [v.numerator * (scale // v.denominator) for v in rhs]
+    for col, (piv, pivot, prev, factors) in enumerate(factor.steps):
+        if piv != col:
+            b[col], b[piv] = b[piv], b[col]
+        bc = b[col]
+        for r, f in enumerate(factors, col + 1):
+            b[r] = (b[r] * pivot - bc * f) // prev
+    a = factor.upper
+    det = factor.steps[-1][1] if factor.steps else 1
+    n = len(b)
+    y = [0] * n  # y = det * x, integral by Cramer's rule
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = det * b[i]
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return [Fraction(v, det * scale) for v in y]
 
 
 def gauss_solve(matrix, rhs):

@@ -3,6 +3,9 @@
 Everything here is textbook dense linear algebra over Fraction: plain
 Gaussian elimination with partial pivoting, a dense Laplacian matrix builder,
 and a rank routine. Acceptance checks compare library output against these.
+`bareiss_reference` is the one-shot fraction-free loop that the library's
+factor-once solver replaced; it pins the p-adic results (digits and
+precision) of that solver to the original order of operations.
 """
 
 from fractions import Fraction
@@ -39,6 +42,36 @@ def dense_solve(matrix, rhs):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+def bareiss_reference(matrix, rhs):
+    """Solve A x = b for square nonsingular integer A and generic b, carrying
+    b through every step of fraction-free elimination, then back
+    substitution."""
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    b = list(rhs)
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        assert piv is not None, "singular reference system"
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
+        pivot = a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col]
+            for c in range(col, n):
+                a[r][c] = (pivot * a[r][c] - factor * a[col][c]) // prev
+            b[r] = (b[r] * pivot - b[col] * factor) / prev
+        prev = pivot
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for j in range(i + 1, n):
+            acc = acc - x[j] * a[i][j]
+        x[i] = acc / a[i][i]
+    return x
 
 
 def poisson_oracle(g, values, anchor):

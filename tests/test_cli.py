@@ -153,6 +153,22 @@ def test_fpn_split_alias(capsys):
     assert json.loads(out)["synderi"] is True
 
 
+def test_fpn_split_rejects_class_of_wrong_dimension(capsys, tmp_path):
+    for name, triple in (
+        ("long_y", {"x": ["0"], "y": ["1", "2"], "z": ["7/2"]}),
+        ("empty", {"x": [], "y": [], "z": []}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(triple))
+        code, out = run_cli(
+            ["fpn-split", "--module", str(FIXTURES / "kummer_module.json"),
+             "--class", str(path)],
+            capsys,
+        )
+        assert code == 3, name
+        assert json.loads(out)["error"]["type"] == "precondition"
+
+
 def test_deterministic_output(capsys):
     args = ["volog-iterated", "--job", str(FIXTURES / "job_iterated_3cycle.json")]
     _, first = run_cli(args, capsys)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from vologcalc.errors import PreconditionError
 from vologcalc.graphs import (
     Cochain,
+    VertexFn,
     cycle_graph,
     d,
     d_star,
@@ -22,9 +24,10 @@ from vologcalc.graphs import (
     vertex_inner,
 )
 from vologcalc.heights import intersection_matrix
-from vologcalc.padic import PadicContext
+from vologcalc.padic import PadicContext, UniversalScalar, make_padic, scalar_to_json
 
 from .oracles import (
+    bareiss_reference,
     d_star_matrix,
     laplacian_matrix,
     poisson_oracle,
@@ -103,6 +106,83 @@ def test_solve_poisson_examples():
     got4 = solve_poisson(rational_vertex_fn(g4, {0: -1, 1: 1, 2: 0, 3: 0}), anchor=0)
     assert got4.values == {0: F(0), 1: F(3, 4), 2: F(1, 2), 3: F(1, 4)}
     assert got4.values == poisson_oracle(g4, {0: -1, 1: 1, 2: 0, 3: 0}, 0)
+
+
+def test_solve_poisson_int_data_gives_fractions():
+    got = solve_poisson(VertexFn(cycle_graph(5), {0: 1, 1: -1, 2: 0, 3: 0, 4: 0}))
+    assert got.values == {0: 0, 1: F(-4, 5), 2: F(-3, 5), 3: F(-2, 5), 4: F(-1, 5)}
+    assert all(type(x) is Fraction for x in got.values.values())
+
+
+def test_solve_poisson_rational_data_and_anchor_cache_random():
+    rng = random.Random(1968)
+    for _ in range(8):
+        g = random_connected_graph(rng, 25, graph)
+        first = rng.sample(list(g.vertices), min(3, len(g.vertices)))
+        anchors = first + [rng.choice(first) for _ in range(2)]
+        factors = {}
+        for anchor in anchors:
+            for values in (
+                {v: rng.randint(-9, 9) for v in g.vertices},
+                {v: F(rng.randint(-9, 9), rng.randint(1, 6)) for v in g.vertices},
+            ):
+                values[g.vertices[-1]] -= sum(values.values())
+                data = VertexFn(g, values)
+                got = solve_poisson(data, anchor)
+                assert all(type(x) is Fraction for x in got.values.values())
+                assert got.values == poisson_oracle(g, values, anchor)
+                assert laplacian(got) == data
+            factor = g.reduced_laplacian_factor(anchor)
+            assert factors.setdefault(anchor, factor) is factor
+
+
+def _grid(rows, cols):
+    at = lambda r, c: r * cols + c  # noqa: E731
+    edges = [(f"h{r}_{c}", at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"v{r}_{c}", at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return graph(range(rows * cols), edges)
+
+
+def _random_scalar(rng, p):
+    coeffs = [
+        make_padic(
+            p,
+            rng.randint(-(p**6), p**6) * p ** rng.randint(0, 2),
+            rng.choice([1, 2, p]),
+            rng.randint(4, 12),
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+    return UniversalScalar.of(coeffs)
+
+
+def test_solve_poisson_padic_data_matches_one_shot_bareiss():
+    rng = random.Random(5)
+    graphs = [_grid(3, 3), _grid(2, 5), _grid(4, 4), cycle_graph(7)]
+    graphs += [random_connected_graph(rng, 12, graph) for _ in range(16)]
+    divisible_pivots = 0
+    for g in graphs:
+        for p in (3, 5, 7):
+            anchor = rng.choice(g.vertices)
+            values = {v: _random_scalar(rng, p) for v in g.vertices[:-1]}
+            total = 0
+            for v in g.vertices[:-1]:
+                total = total + values[v]
+            values[g.vertices[-1]] = -total
+            got = solve_poisson(VertexFn(g, values), anchor)
+            k = g.vertices.index(anchor)
+            mat = [
+                [int(x) for j, x in enumerate(row) if j != k]
+                for i, row in enumerate(laplacian_matrix(g))
+                if i != k
+            ]
+            others = [v for v in g.vertices if v != anchor]
+            want = bareiss_reference(mat, [values[v] for v in others])
+            for v, x in zip(others, want):
+                assert json.dumps(scalar_to_json(got.values[v])) == json.dumps(scalar_to_json(x))
+            pivots = [step[1] for step in g.reduced_laplacian_factor(anchor).steps]
+            divisible_pivots += any(pivot % p == 0 for pivot in pivots)
+    assert divisible_pivots >= 20
 
 
 def test_solve_poisson_rejects_nonzero_sum():
