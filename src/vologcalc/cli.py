@@ -17,11 +17,11 @@ import json
 import os
 import sys
 
-from .errors import PreconditionError, PrecisionOverflow
+from .errors import ParseError, PreconditionError, PrecisionOverflow
 from .fpnmod import module_from_json, synderi_check, triple_from_json
 from .graphs import Cochain, VertexFn, graph_from_json, harmonic_project
 from .heights import divisor_from_json, local_height_report
-from .jsonutil import frac_from_str, frac_to_str
+from .jsonutil import frac_from_str, frac_to_str, int_from_json
 from .loglaurent import AnnulusForm
 from .padic import (
     DEFAULT_LAMBDA_CAP,
@@ -29,6 +29,7 @@ from .padic import (
     PadicContext,
     iwasawa_log,
     make_padic,
+    require_prime,
     scalar_from_json,
     scalar_to_json,
 )
@@ -61,13 +62,9 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
-        raise _ParseFailure(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _ParseFailure(f"invalid JSON in {path}: {exc}") from exc
-
-
-class _ParseFailure(Exception):
-    pass
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _emit(payload: dict, output_path: str | None) -> None:
@@ -157,17 +154,17 @@ def _decode_edge_data(ctx: PadicContext, entry: dict) -> EdgeLocalData:
 def _infer_prime(job: dict) -> int:
     """Every scalar value carries its prime; the top-level field is optional."""
     if "p" in job:
-        return int(job["p"])
+        return require_prime(int_from_json(job["p"], "p"))
     for entry in job.get("edges", []):
         for key in ("raw_c", "C_tail", "C_head"):
             if key in entry:
-                return int(entry[key]["coeffs"][0]["p"])
+                return require_prime(int_from_json(entry[key]["coeffs"][0]["p"], "p"))
     raise PreconditionError("cannot infer the prime: no scalar values in the job")
 
 
 def _cmd_volog_assemble(args) -> dict:
     job = _load_json(args.job)
-    prec = int(job.get("prec", _default_precision()))
+    prec = int_from_json(job["prec"], "prec") if "prec" in job else _default_precision()
     ctx = PadicContext(_infer_prime(job), prec, args.lambda_cap)
     g = graph_from_json(job["graph"])
     edges = tuple(_decode_edge_data(ctx, entry) for entry in job["edges"])
@@ -333,7 +330,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         payload = args.run(args)
-    except _ParseFailure as exc:
+    except ParseError as exc:
         _emit({"error": {"type": "parse", "message": str(exc)}}, None)
         return 2
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

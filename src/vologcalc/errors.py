@@ -1,14 +1,19 @@
 """Exception types shared across the package.
 
-Two families matter to callers: mathematical precondition failures
-(bad input data, solvability violations) and capacity overflows
-(formal-degree caps, Laurent-window truncation). The CLI maps them to
+Three families matter to callers: parse failures (unreadable input, a
+field of the wrong JSON type), mathematical precondition failures (bad
+input data, solvability violations) and capacity overflows (formal-degree
+caps, Laurent-window truncation). The CLI maps them to
 distinct exit codes.
 """
 
 
 class PreconditionError(ValueError):
     """A mathematical precondition on the input data is violated."""
+
+
+class ParseError(ValueError):
+    """Input is not valid JSON, or a field has the wrong JSON type."""
 
 
 class PrecisionOverflow(ArithmeticError):

@@ -12,7 +12,12 @@ number of right-hand sides against that record. A rational right-hand side
 division per entry. Any other coefficient type (PadicNumber,
 UniversalScalar) replays the recorded multipliers on b with +, -,
 multiplication by int and exact division by each pivot, so its precision
-follows the elimination step by step.
+follows the elimination step by step. The replay is sparse: a zero
+multiplier only multiplies the row's pending exact scale by pivot/prev,
+which is applied in one multiplication when the row next meets a nonzero
+multiplier or becomes the pivot row, and back substitution skips the zero
+entries of the eliminated matrix. Cost follows the nonzeros of the factor;
+digits and precision are those of the dense replay.
 """
 
 from __future__ import annotations
@@ -68,23 +73,47 @@ def bareiss_solve(factor: BareissFactor, rhs):
     divisions are exact `//`, and back substitution is scaled by the last
     pivot so that each x_i costs one Fraction division. Other coefficient
     types replay the recorded multipliers with exact division by int.
+
+    That replay does work only for nonzero entries of the factor. Under a
+    zero multiplier the step is b[r] * pivot / prev, so it is deferred into
+    an exact Fraction scale owed by row r (scales move with row swaps) and
+    applied in one multiplication when the row next meets a nonzero
+    multiplier or becomes the pivot row; every row becomes the pivot row
+    before back substitution, which skips zero entries of `upper`. In the
+    capped-relative model multiplying by c1 and then c2 gives the digits of
+    multiplying by c1 * c2, so the result is the dense replay's. A value
+    that is the distinguished zero takes the full update instead: there the
+    dense operations pass the other operand's precision on to the zero.
     """
     if all(type(v) is int or type(v) is Fraction for v in rhs):
         return _solve_rational(factor, rhs)
     a = factor.upper
     b = list(rhs)
+    n = len(b)
+    scale = [1] * n
     for col, (piv, pivot, prev, factors) in enumerate(factor.steps):
         if piv != col:
             b[col], b[piv] = b[piv], b[col]
+            scale[col], scale[piv] = scale[piv], scale[col]
+        if scale[col] != 1:
+            b[col] = b[col] * scale[col]
+        bc = b[col]
         for r, f in enumerate(factors, col + 1):
-            b[r] = (b[r] * pivot - b[col] * f) / prev
-    n = len(b)
+            if f == 0 and not b[r].is_zero:
+                scale[r] *= Fraction(pivot, prev)
+                continue
+            if scale[r] != 1:
+                b[r] = b[r] * scale[r]
+                scale[r] = 1
+            b[r] = (b[r] * pivot - bc * f) / prev
     x = [None] * n
     for i in range(n - 1, -1, -1):
+        row = a[i]
         acc = b[i]
         for j in range(i + 1, n):
-            acc = acc - x[j] * a[i][j]
-        x[i] = acc / a[i][i]
+            if row[j] or acc.is_zero:
+                acc = acc - x[j] * row[j]
+        x[i] = acc / row[i]
     return x
 
 

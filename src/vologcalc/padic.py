@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LambdaDegreeOverflow, PreconditionError
+from .jsonutil import int_from_json
 
 DEFAULT_PRECISION = 20
 DEFAULT_LAMBDA_CAP = 4
@@ -237,10 +238,16 @@ class PadicNumber:
         return f"{self.unit}*{self.p}^{self.val} + O({self.p}^{self.val + self.prec})"
 
 
-def make_padic(p: int, numerator: int, denominator: int, precision: int) -> PadicNumber:
-    """p-adic expansion of numerator/denominator to `precision` relative digits."""
+def require_prime(p: int) -> int:
+    """p itself; a PreconditionError if p is not prime."""
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
+    return p
+
+
+def make_padic(p: int, numerator: int, denominator: int, precision: int) -> PadicNumber:
+    """p-adic expansion of numerator/denominator to `precision` relative digits."""
+    require_prime(p)
     if denominator == 0:
         raise PreconditionError("zero denominator")
     if precision < 1:
@@ -364,6 +371,14 @@ class UniversalScalar:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a constant scales each coefficient: the convolution below with
+            # a one-coefficient factor, without building it
+            p = self.p
+            c = from_fraction(p, Fraction(other), self._ref_prec())
+            return UniversalScalar.of(
+                [PadicNumber.zero(p, 1) if a.is_zero else a * c for a in self.coeffs], self.cap
+            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -541,7 +556,8 @@ def padic_to_json(x: PadicNumber) -> dict:
 
 
 def padic_from_json(obj: dict) -> PadicNumber:
-    p, val, unit, prec = int(obj["p"]), int(obj["val"]), int(obj["unit"]), int(obj["prec"])
+    p, val, unit, prec = (int_from_json(obj[k], k) for k in ("p", "val", "unit", "prec"))
+    require_prime(p)
     if unit == 0:
         return PadicNumber.zero(p, prec)
     if prec < 1 or unit % p == 0 or not 0 < unit < p**prec:

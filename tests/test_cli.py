@@ -254,6 +254,86 @@ def test_assemble_infers_prime(tmp_path, capsys):
     assert json.loads(out) == json.loads(golden("assemble_cycle3.json"))
 
 
+def _cycle3_job():
+    return json.loads((FIXTURES / "job_assemble_cycle3.json").read_text())
+
+
+def _run_assemble(tmp_path, capsys, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out = run_cli(["volog-assemble", "--job", str(path)], capsys)
+    return code, json.loads(out)
+
+
+def test_padic_json_fields_must_be_integers(tmp_path, capsys):
+    """A float (or boolean) p-adic field is rejected, never truncated."""
+    for field, value in (("unit", 1.5), ("unit", "1.5"), ("val", 0.0), ("prec", 12.9),
+                         ("p", 5.0), ("prec", True), ("unit", None)):
+        job = _cycle3_job()
+        job["edges"][0]["raw_c"]["coeffs"][1][field] = value
+        code, payload = _run_assemble(tmp_path, capsys, job)
+        assert code == 2, (field, value)
+        assert payload["error"]["type"] == "parse"
+        assert repr(field) in payload["error"]["message"]
+    for field, value in (("prec", 12.0), ("p", "5.0")):
+        job = _cycle3_job()
+        job[field] = value
+        code, payload = _run_assemble(tmp_path, capsys, job)
+        assert code == 2 and repr(field) in payload["error"]["message"], (field, value)
+    # integer strings and JSON integers both decode to the golden
+    job = _cycle3_job()
+    for entry in job["edges"]:
+        for c in entry["raw_c"]["coeffs"]:
+            c.update(p="5", val="0", prec="12", unit=int(c["unit"]))
+    code, payload = _run_assemble(tmp_path, capsys, job)
+    assert code == 0
+    assert payload == json.loads(golden("assemble_cycle3.json"))
+
+
+def test_padic_json_rejects_non_prime(tmp_path, capsys):
+    for top_level in (None, 4):
+        job = _cycle3_job()
+        for entry in job["edges"]:
+            for c in entry["raw_c"]["coeffs"]:
+                c["p"] = 4
+        del job["p"]
+        if top_level is not None:
+            job["p"] = top_level
+        code, payload = _run_assemble(tmp_path, capsys, job)
+        assert code == 3
+        assert payload["error"] == {"type": "precondition", "message": "4 is not prime"}
+
+
+def test_empty_scalar_exits_3(tmp_path, capsys):
+    job = _cycle3_job()
+    job["edges"][0]["raw_c"] = {"coeffs": []}
+    code, payload = _run_assemble(tmp_path, capsys, job)
+    assert code == 3
+    assert payload["error"]["type"] == "precondition"
+
+
+def test_rational_json_rejects_floats(tmp_path, capsys):
+    residues = tmp_path / "residues.json"
+    for value in (1.5, 1.0, True, None):
+        residues.write_text(json.dumps({"values": {"v0": value, "v1": "-1", "v2": "0"}}))
+        code, out = run_cli(
+            ["volog-ddlog", "--graph", str(FIXTURES / "cycle3.json"),
+             "--residues", str(residues)],
+            capsys,
+        )
+        assert code == 2, value
+        assert json.loads(out)["error"]["type"] == "parse"
+    # JSON integers and rational strings stay exact
+    residues.write_text(json.dumps({"values": {"v0": 1, "v1": "-2/2", "v2": "0"}}))
+    code, out = run_cli(
+        ["volog-ddlog", "--graph", str(FIXTURES / "cycle3.json"),
+         "--residues", str(residues), "--anchor", "v2"],
+        capsys,
+    )
+    assert code == 0
+    assert out == golden("ddlog_cycle3.json")
+
+
 def test_exit_code_overflow(tmp_path, capsys):
     # a raw value of branch degree 6 cannot enter a cap-4 computation
     deep = {"coeffs": [{"p": 5, "val": 0, "unit": "1", "prec": 6}] * 7}

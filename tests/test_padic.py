@@ -12,6 +12,7 @@ from vologcalc.padic import (
     PadicNumber,
     UniversalScalar,
     derive_at_zero,
+    from_fraction,
     iwasawa_log,
     lambda_scalar,
     make_padic,
@@ -246,6 +247,41 @@ def test_precision_never_grows_along_chains(data):
         if out.is_zero:
             break
         x = out
+
+
+@st.composite
+def scalars_and_constants(draw):
+    """A branch polynomial with exact-zero (any precision), interior-zero and
+    negative-valuation coefficients, and an int or Fraction constant that may
+    be 0 or carry p in its numerator or denominator."""
+    p = draw(st.sampled_from(PRIMES))
+    coeffs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        prec = draw(st.integers(min_value=1, max_value=12))
+        if draw(st.booleans()):
+            coeffs.append(PadicNumber.zero(p, prec))
+        else:
+            num = draw(st.integers(min_value=1, max_value=p**6)) * draw(st.sampled_from([1, -1, p]))
+            den = draw(st.sampled_from([1, 2, p, p * p, 3 * p]))
+            coeffs.append(make_padic(p, num, den, prec))
+    num = draw(st.integers(min_value=-50, max_value=50)) * draw(st.sampled_from([1, p, p * p]))
+    den = draw(st.sampled_from([1, 2, 7, p, p**3]))
+    c = num if draw(st.booleans()) else Fraction(num, den)
+    return UniversalScalar.of(coeffs), c
+
+
+@given(scalars_and_constants())
+@settings(max_examples=300)
+def test_scalar_times_constant_is_the_one_coefficient_product(sc):
+    """Multiplying by a constant gives, digit for digit, the product with the
+    constant lifted to a one-coefficient scalar at the reference precision."""
+    s, c = sc
+    lifted = UniversalScalar.of([from_fraction(s.p, Fraction(c), s._ref_prec())])
+    assert scalar_to_json(s * c) == scalar_to_json(s * lifted)
+    assert scalar_to_json(c * s) == scalar_to_json(s * lifted)
+    if c != 0:
+        inverse = UniversalScalar.of([from_fraction(s.p, 1 / Fraction(c), s._ref_prec())])
+        assert scalar_to_json(s / c) == scalar_to_json(s * inverse)
 
 
 def test_json_round_trip():

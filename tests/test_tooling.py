@@ -2,13 +2,16 @@
 
 import importlib
 import pathlib
+import random
 import subprocess
 import sys
 
 import vologcalc
+import vologcalc.cli  # noqa: F401 -- Tracer.install wraps entry points in every layer
 from perfbench.trace import ENTRY_POINTS, Tracer
 from vologcalc import heights
-from vologcalc.graphs import cycle_graph
+from vologcalc.graphs import VertexFn, cycle_graph, graph, solve_poisson
+from vologcalc.padic import UniversalScalar, make_padic
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,6 +35,42 @@ def test_tracer_sees_every_poisson_solve():
         tracer.uninstall()
     assert tracer.calls["graphs.solve_poisson"] == tracer.calls["linalg.bareiss_solve"] == 3
     assert tracer.repeat_solves == 2
+
+
+def test_padic_replay_work_follows_the_factor_nonzeros():
+    """One Poisson solve of branch-polynomial data on a relabelled 8x8 grid
+    costs at most 5 scalar ops per nonzero multiplier, 2 per nonzero
+    off-diagonal entry of the eliminated matrix and 4 per vertex. A replay
+    that touches every multiplier and every upper entry costs about 3.5 times
+    that bound here."""
+    rng = random.Random(88)
+    perm = list(range(64))
+    rng.shuffle(perm)
+    edges = [(f"h{i}", perm[i], perm[i + 1]) for i in range(64) if i % 8 < 7]
+    edges += [(f"v{i}", perm[i], perm[i + 8]) for i in range(56)]
+    g = graph(range(64), edges)
+    values = {
+        v: UniversalScalar.of(
+            [make_padic(5, rng.randint(1, 5**8), rng.choice([1, 5]), 12) for _ in range(2)]
+        )
+        for v in g.vertices[1:]
+    }
+    total = 0
+    for x in values.values():
+        total = total + x
+    values[g.vertices[0]] = -total
+    anchor = g.vertices[rng.randrange(64)]
+    factor = g.reduced_laplacian_factor(anchor)
+    multipliers = sum(f != 0 for *_, factors in factor.steps for f in factors)
+    upper = sum(x != 0 for i, row in enumerate(factor.upper) for x in row[i + 1 :])
+    tracer = Tracer(vologcalc)
+    tracer.install()
+    try:
+        solve_poisson(VertexFn(g, values), anchor)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["linalg.bareiss_solve"] == 1
+    assert tracer.ops["padic.scalar_ops"] <= 5 * multipliers + 2 * upper + 4 * 64
 
 
 def test_demo_scripts_run():
