@@ -4,8 +4,11 @@ Subcommands: padic-log, graph-project, volog-assemble, volog-ddlog,
 volog-iterated, height-local (also reachable as `height local`), fpn-split.
 Output is deterministic: keys sorted, no timestamps. Exit codes: 0 success,
 2 parse error, 3 mathematical precondition failure, 4 precision or
-truncation overflow. `--schema` on any subcommand prints its input schema,
-the file `schemas/<subcommand>.json` shipped in this package.
+truncation overflow; only those three error types are turned into error
+objects, anything else is a bug and propagates. JSON values are read by the
+`jsonutil` readers, so messages name the JSON path of a bad value. `--schema`
+on any subcommand prints its input schema, the file
+`schemas/<subcommand>.json` shipped in this package.
 The environment variable VOLOG_PRECISION overrides the default working
 precision.
 """
@@ -21,14 +24,23 @@ from .errors import ParseError, PreconditionError, PrecisionOverflow
 from .fpnmod import module_from_json, synderi_check, triple_from_json
 from .graphs import Cochain, VertexFn, graph_from_json, harmonic_project
 from .heights import divisor_from_json, local_height_report
-from .jsonutil import frac_from_str, frac_to_str, int_from_json
-from .loglaurent import AnnulusForm
+from .jsonutil import (
+    entries,
+    frac_from_json,
+    frac_to_str,
+    id_from_json,
+    int_from_json,
+    items,
+    member,
+)
+from .loglaurent import form_from_json
 from .padic import (
     DEFAULT_LAMBDA_CAP,
     DEFAULT_PRECISION,
     PadicContext,
     iwasawa_log,
     make_padic,
+    max_exponent,
     require_prime,
     scalar_from_json,
     scalar_to_json,
@@ -45,62 +57,71 @@ _SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
 
 def _default_precision() -> int:
-    env = os.environ.get("VOLOG_PRECISION")
-    if env is None:
-        return DEFAULT_PRECISION
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise PreconditionError(f"VOLOG_PRECISION is not an integer: {env!r}") from exc
-    if value < 1:
-        raise PreconditionError("VOLOG_PRECISION must be positive")
-    return value
+    """VOLOG_PRECISION, read like an integer JSON field, else the default."""
+    return member(dict(os.environ), "VOLOG_PRECISION", int_from_json, 1, default=DEFAULT_PRECISION)
 
 
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _emit(payload: dict, output_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {output_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _vertex_key_map(g, values: dict, what: str) -> dict:
-    """JSON maps are keyed by str(vertex); resolve back to vertex objects."""
-    lookup = {str(v): v for v in g.vertices}
-    out = {}
-    for key, val in values.items():
+def _nonnegative_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _keyed_by(ids, values: dict, what: str, kind: str) -> dict:
+    """JSON maps are keyed by str(id); resolve back to the ids, which must
+    all be present."""
+    lookup = {str(i): i for i in ids}
+    for key in values:
         if key not in lookup:
-            raise PreconditionError(f"{what} references unknown vertex {key!r}")
-        out[lookup[key]] = val
-    return out
+            raise PreconditionError(f"{what} references unknown {kind} {key!r}")
+    if len(values) != len(lookup):
+        raise PreconditionError(f"{what} must assign a value to every {kind}")
+    return {lookup[key]: val for key, val in values.items()}
 
 
 def _resolve_anchor(g, anchor):
+    """The vertex named by `anchor` (the first vertex if None)."""
     if anchor is None:
-        return None
+        return g.vertices[0]
     lookup = {str(v): v for v in g.vertices}
-    if anchor not in lookup:
+    if str(anchor) not in lookup:
         raise PreconditionError(f"anchor {anchor!r} is not a vertex")
-    return lookup[anchor]
+    return lookup[str(anchor)]
+
+
+def _fracs(fn) -> dict:
+    """A vertex function or cochain as a JSON map of rational strings."""
+    return {str(k): frac_to_str(v) for k, v in fn.values.items()}
+
+
+def _rational_values(obj) -> dict:
+    return member(obj, "values", entries, None, frac_from_json)
 
 
 def _rational_cochain(g, obj, what: str) -> Cochain:
-    values = {k: frac_from_str(v) for k, v in obj["values"].items()}
-    ids = {e.id for e in g.edges}
-    if set(values) != ids:
-        raise PreconditionError(f"{what} must assign a value to every edge")
+    values = _keyed_by([e.id for e in g.edges], _rational_values(obj), what, "edge")
     return Cochain(g, values)
 
 
@@ -126,49 +147,53 @@ def _cmd_graph_project(args) -> dict:
     c = _rational_cochain(g, _load_json(args.cochain), "cochain")
     anchor = _resolve_anchor(g, args.anchor)
     harmonic, gamma = harmonic_project(c, anchor)
-    return {
-        "harmonic": {str(k): frac_to_str(v) for k, v in harmonic.values.items()},
-        "gamma": {str(k): frac_to_str(v) for k, v in gamma.values.items()},
-        "anchor": str(anchor if anchor is not None else g.vertices[0]),
-    }
+    return {"harmonic": _fracs(harmonic), "gamma": _fracs(gamma), "anchor": str(anchor)}
 
 
-def _decode_edge_data(ctx: PadicContext, entry: dict) -> EdgeLocalData:
-    eid = entry["id"]
+def _edge_from_json(entry, ctx: PadicContext) -> EdgeLocalData:
+    eid = member(entry, "id", id_from_json)
     if "raw_c" in entry:
-        return EdgeLocalData(eid, raw_c=scalar_from_json(entry["raw_c"], ctx.lambda_cap))
-    form_obj = entry["form"]
-    coeffs = {
-        int(k): scalar_from_json(v, ctx.lambda_cap)
-        for k, v in form_obj.get("coeffs", {}).items()
-    }
-    form = AnnulusForm(ctx, coeffs, int(form_obj.get("window", 12)))
+        return EdgeLocalData(eid, raw_c=member(entry, "raw_c", scalar_from_json, ctx.lambda_cap))
     return EdgeLocalData(
         eid,
-        form=form,
-        c_tail=scalar_from_json(entry["C_tail"], ctx.lambda_cap),
-        c_head=scalar_from_json(entry["C_head"], ctx.lambda_cap),
+        form=member(entry, "form", form_from_json, ctx),
+        c_tail=member(entry, "C_tail", scalar_from_json, ctx.lambda_cap),
+        c_head=member(entry, "C_head", scalar_from_json, ctx.lambda_cap),
     )
 
 
-def _infer_prime(job: dict) -> int:
-    """Every scalar value carries its prime; the top-level field is optional."""
-    if "p" in job:
-        return require_prime(int_from_json(job["p"], "p"))
-    for entry in job.get("edges", []):
-        for key in ("raw_c", "C_tail", "C_head"):
-            if key in entry:
-                return require_prime(int_from_json(entry[key]["coeffs"][0]["p"], "p"))
-    raise PreconditionError("cannot infer the prime: no scalar values in the job")
+def _coefficient_primes(scalar) -> list:
+    return member(scalar, "coeffs", items, member, "p", int_from_json)
+
+
+def _edge_prime(entry):
+    """The p of the first coefficient of the edge's first scalar value."""
+    for key in ("raw_c", "C_tail", "C_head"):
+        primes = member(entry, key, _coefficient_primes, default=None)
+        if primes:
+            return primes[0]
+    return None
+
+
+def _infer_prime(job) -> int:
+    """The job's p, else the p of its first scalar value; every decoded
+    value must then carry this prime."""
+    p = member(job, "p", int_from_json, default=None)
+    if p is None:
+        p = next((q for q in member(job, "edges", items, _edge_prime) if q is not None), None)
+        if p is None:
+            raise PreconditionError("cannot infer the prime: no scalar values in the job")
+    return require_prime(p)
 
 
 def _cmd_volog_assemble(args) -> dict:
     job = _load_json(args.job)
-    prec = int_from_json(job["prec"], "prec") if "prec" in job else _default_precision()
-    ctx = PadicContext(_infer_prime(job), prec, args.lambda_cap)
-    g = graph_from_json(job["graph"])
-    edges = tuple(_decode_edge_data(ctx, entry) for entry in job["edges"])
-    anchor = _resolve_anchor(g, job.get("anchor"))
+    p = _infer_prime(job)
+    prec = member(job, "prec", int_from_json, 1, max_exponent(p), default=None)
+    ctx = PadicContext(p, prec or _default_precision(), args.lambda_cap)
+    g = member(job, "graph", graph_from_json)
+    edges = tuple(member(job, "edges", items, _edge_from_json, ctx))
+    anchor = _resolve_anchor(g, member(job, "anchor", id_from_json, default=None))
     data = LocalColemanData(g, ctx, edges, anchor)
     out = assemble(data)
     return {
@@ -182,40 +207,22 @@ def _cmd_volog_assemble(args) -> dict:
 
 def _cmd_volog_ddlog(args) -> dict:
     g = graph_from_json(_load_json(args.graph))
-    raw = _load_json(args.residues)
-    values = _vertex_key_map(
-        g, {k: frac_from_str(v) for k, v in raw["values"].items()}, "residues"
-    )
-    if set(values) != set(g.vertices):
-        raise PreconditionError("residues must assign a value to every vertex")
+    residues = _rational_values(_load_json(args.residues))
+    values = _keyed_by(g.vertices, residues, "residues", "vertex")
     anchor = _resolve_anchor(g, args.anchor)
     u = derivative_vertex_function(VertexFn(g, values), anchor)
-    return {
-        "derivative": {str(k): frac_to_str(v) for k, v in u.values.items()},
-        "anchor": str(anchor if anchor is not None else g.vertices[0]),
-    }
+    return {"derivative": _fracs(u), "anchor": str(anchor)}
 
 
 def _cmd_volog_iterated(args) -> dict:
     job = _load_json(args.job)
-    g = graph_from_json(job["graph"])
-    cochains = {
-        name: _rational_cochain(g, job[name], name)
+    g = member(job, "graph", graph_from_json)
+    cochains = [
+        _rational_cochain(g, member(job, name), name)
         for name in ("c_omega", "c_eta", "res_omega", "res_eta", "indices")
-    }
-    anchor = _resolve_anchor(g, job.get("anchor"))
-    u = iterated_derivative(
-        cochains["c_omega"],
-        cochains["c_eta"],
-        cochains["res_omega"],
-        cochains["res_eta"],
-        cochains["indices"],
-        anchor,
-    )
-    return {
-        "derivative": {str(k): frac_to_str(v) for k, v in u.values.items()},
-        "anchor": str(anchor if anchor is not None else g.vertices[0]),
-    }
+    ]
+    anchor = _resolve_anchor(g, member(job, "anchor", id_from_json, default=None))
+    return {"derivative": _fracs(iterated_derivative(*cochains, anchor)), "anchor": str(anchor)}
 
 
 def _cmd_height_local(args) -> dict:
@@ -279,7 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volog-assemble", help="assemble an integral from local data")
     p.add_argument("--job", required=True)
-    p.add_argument("--lambda-cap", type=int, default=DEFAULT_LAMBDA_CAP, dest="lambda_cap")
+    p.add_argument(
+        "--lambda-cap", type=_nonnegative_int, default=DEFAULT_LAMBDA_CAP, dest="lambda_cap"
+    )
     common(p)
     p.set_defaults(run=_cmd_volog_assemble)
 
@@ -329,20 +338,16 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload = args.run(args)
+        _emit(args.run(args), args.output)
     except ParseError as exc:
         _emit({"error": {"type": "parse", "message": str(exc)}}, None)
         return 2
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        if isinstance(exc, PreconditionError):
-            _emit({"error": {"type": "precondition", "message": str(exc)}}, None)
-            return 3
-        _emit({"error": {"type": "parse", "message": f"{type(exc).__name__}: {exc}"}}, None)
-        return 2
+    except PreconditionError as exc:
+        _emit({"error": {"type": "precondition", "message": str(exc)}}, None)
+        return 3
     except PrecisionOverflow as exc:
         _emit({"error": {"type": "overflow", "message": str(exc)}}, None)
         return 4
-    _emit(payload, args.output)
     return 0
 
 

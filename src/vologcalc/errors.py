@@ -1,19 +1,40 @@
 """Exception types shared across the package.
 
 Three families matter to callers: parse failures (unreadable input, a
-field of the wrong JSON type), mathematical precondition failures (bad
-input data, solvability violations) and capacity overflows (formal-degree
-caps, Laurent-window truncation). The CLI maps them to
-distinct exit codes.
+value of the wrong JSON type or shape), mathematical precondition failures
+(bad input data, solvability violations) and capacity overflows
+(formal-degree caps, Laurent-window truncation). The CLI maps them to
+distinct exit codes. The first two share `InputError`, whose message names
+the JSON path of the offending value when there is one.
 """
 
 
-class PreconditionError(ValueError):
+class InputError(ValueError):
+    """Base of the two input failures. `path` locates the offending value
+    inside a JSON document (keys and list indices, outermost first); it is
+    empty when the failure is not tied to one value."""
+
+    def __init__(self, message: str, path: tuple = ()):
+        super().__init__(message)
+        self.message = message
+        self.path = path
+
+    def __str__(self) -> str:
+        if not self.path:
+            return self.message
+        *owner, last = self.path
+        where = "".join(f"[{s}]" if type(s) is int else f".{s}" for s in owner).removeprefix(".")
+        if type(last) is not int:
+            return f"field {last!r}{' of ' + where if where else ''}: {self.message}"
+        return f"{where}[{last}]: {self.message}"
+
+
+class PreconditionError(InputError):
     """A mathematical precondition on the input data is violated."""
 
 
-class ParseError(ValueError):
-    """Input is not valid JSON, or a field has the wrong JSON type."""
+class ParseError(InputError):
+    """Input is not valid JSON, or a value has the wrong JSON type or shape."""
 
 
 class PrecisionOverflow(ArithmeticError):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import PreconditionError
-from .jsonutil import frac_to_str
+from .jsonutil import frac_from_json, int_from_json, items, member
 from .linalg import (
     gauss_solve,
     identity,
@@ -37,7 +37,7 @@ from .linalg import (
     reduce_mod_span,
     row_echelon_basis,
 )
-from .padic import PadicNumber, iwasawa_log, make_padic
+from .padic import PadicNumber, iwasawa_log, make_padic, require_prime
 
 
 def _frac_matrix(rows):
@@ -502,39 +502,27 @@ def kummer_class_from_value(p: int, num: int, den: int, prec: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def module_to_json(M: FpnModule) -> dict:
-    return {
-        "p": M.p,
-        "weights": list(M.weights),
-        "phi": [[frac_to_str(v) for v in row] for row in M.phi],
-        "N": [[frac_to_str(v) for v in row] for row in M.N],
-        "iso": [[frac_to_str(v) for v in row] for row in M.iso],
-        "f0": [[frac_to_str(v) for v in vec] for vec in M.f0],
-    }
+def _vector_from_json(value, n: int | None = None) -> tuple:
+    return tuple(items(value, frac_from_json, length=n))
 
 
-def module_from_json(obj: dict) -> FpnModule:
+def _matrix_from_json(value, n: int) -> list:
+    return items(value, _vector_from_json, n, length=n)
+
+
+def module_from_json(obj) -> FpnModule:
+    p = require_prime(member(obj, "p", int_from_json))
+    weights = member(obj, "weights", items, int_from_json)
+    n = len(weights)
     return module(
-        int(obj["p"]),
-        [[Fraction(v) for v in row] for row in obj["phi"]],
-        [[Fraction(v) for v in row] for row in obj["N"]],
-        obj["weights"],
-        [[Fraction(v) for v in vec] for vec in obj.get("f0", [])],
-        [[Fraction(v) for v in row] for row in obj["iso"]] if "iso" in obj else None,
+        p,
+        member(obj, "phi", _matrix_from_json, n),
+        member(obj, "N", _matrix_from_json, n),
+        weights,
+        member(obj, "f0", items, _vector_from_json, n, default=[]),
+        member(obj, "iso", _matrix_from_json, n, default=None),
     )
 
 
-def triple_to_json(t: StTriple) -> dict:
-    return {
-        "x": [frac_to_str(v) for v in t.x],
-        "y": [frac_to_str(v) for v in t.y],
-        "z": [frac_to_str(v) for v in t.z],
-    }
-
-
-def triple_from_json(obj: dict) -> StTriple:
-    return StTriple(
-        tuple(Fraction(v) for v in obj["x"]),
-        tuple(Fraction(v) for v in obj["y"]),
-        tuple(Fraction(v) for v in obj["z"]),
-    )
+def triple_from_json(obj) -> StTriple:
+    return StTriple(*(member(obj, key, _vector_from_json) for key in ("x", "y", "z")))

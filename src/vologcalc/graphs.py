@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .jsonutil import id_from_json, items, member, members
 from .linalg import bareiss_factor, bareiss_solve
 
 
@@ -324,14 +325,16 @@ def rational_cochain(g: DualGraph, values: dict) -> Cochain:
 # -- JSON ------------------------------------------------------------------
 
 
-def graph_to_json(g: DualGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in g.edges],
-    }
+def _edge_from_json(obj) -> tuple:
+    return members(obj, ("id", "tail", "head"), id_from_json)
 
 
-def graph_from_json(obj: dict) -> DualGraph:
-    return graph(
-        obj["vertices"], [(e["id"], e["tail"], e["head"]) for e in obj["edges"]]
+def graph_from_json(obj) -> DualGraph:
+    g = graph(
+        member(obj, "vertices", items, id_from_json),
+        member(obj, "edges", items, _edge_from_json),
     )
+    for ids in (g.vertices, [e.id for e in g.edges]):
+        if len({str(i) for i in ids}) != len(ids):
+            raise PreconditionError('vertex or edge ids collide as JSON keys (such as 1 and "1")')
+    return g

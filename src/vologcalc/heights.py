@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .graphs import DualGraph, VertexFn, solve_poisson
+from .jsonutil import frac_from_json, id_from_json, int_from_json, items, member
 
 
 @dataclass(frozen=True)
@@ -138,25 +139,21 @@ def local_height_report(
 # -- JSON --------------------------------------------------------------------
 
 
-def divisor_to_json(D: DivisorPlacement) -> dict:
-    return {
-        "points": [
-            {"label": pt.label, "multiplicity": pt.multiplicity, "component": pt.component}
-            for pt in D.points
-        ],
-        "horizontal_pairings": [
-            {"own": dl, "other": el, "value": str(v)}
-            for (dl, el), v in sorted(D.horizontal_pairings.items())
-        ],
-    }
+def _point_from_json(obj) -> tuple:
+    return (
+        member(obj, "label", id_from_json),
+        member(obj, "multiplicity", int_from_json),
+        member(obj, "component", id_from_json),
+    )
 
 
-def divisor_from_json(obj: dict) -> DivisorPlacement:
-    pairings = {
-        (entry["own"], entry["other"]): Fraction(entry["value"])
-        for entry in obj.get("horizontal_pairings", [])
-    }
+def _pairing_from_json(obj) -> tuple:
+    labels = (member(obj, "own", id_from_json), member(obj, "other", id_from_json))
+    return labels, member(obj, "value", frac_from_json)
+
+
+def divisor_from_json(obj) -> DivisorPlacement:
     return divisor(
-        [(pt["label"], int(pt["multiplicity"]), pt["component"]) for pt in obj["points"]],
-        pairings,
+        member(obj, "points", items, _point_from_json),
+        dict(member(obj, "horizontal_pairings", items, _pairing_from_json, default=[])),
     )

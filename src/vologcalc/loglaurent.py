@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LogDegreeOverflow, PreconditionError, WindowTruncation
-from .padic import PadicContext, UniversalScalar
+from .jsonutil import entries, int_from_json, member
+from .padic import PadicContext, UniversalScalar, max_exponent, scalar_from_json
 
 DEFAULT_WINDOW = 12
 DEFAULT_LOG_CAP = 4
@@ -276,53 +277,12 @@ def flip_coordinate(omega: AnnulusForm) -> AnnulusForm:
 # -- JSON ---------------------------------------------------------------------
 
 
-def function_to_json(f: LogLaurentFunction) -> dict:
-    from .padic import scalar_to_json
-
-    return {
-        "terms": [
-            {"k": k, "n": n, "coeff": scalar_to_json(c)}
-            for (k, n), c in sorted(f.terms.items())
-        ],
-        "window": f.window,
-        "log_cap": f.log_cap,
-        "truncated": f.truncated,
-    }
-
-
-def function_from_json(ctx: PadicContext, obj: dict) -> LogLaurentFunction:
-    from .padic import scalar_from_json
-
-    terms = {
-        (int(t["k"]), int(t["n"])): scalar_from_json(t["coeff"], ctx.lambda_cap)
-        for t in obj["terms"]
-    }
-    return LogLaurentFunction(
-        ctx,
-        terms,
-        int(obj.get("window", DEFAULT_WINDOW)),
-        int(obj.get("log_cap", DEFAULT_LOG_CAP)),
-        bool(obj.get("truncated", False)),
-    )
-
-
-def form_to_json(omega: AnnulusForm) -> dict:
-    from .padic import scalar_to_json
-
-    return {
-        "window": omega.window,
-        "coeffs": {str(k): scalar_to_json(a) for k, a in sorted(omega.coeffs.items())},
-    }
-
-
-def form_from_json(ctx: PadicContext, obj: dict) -> AnnulusForm:
-    from .padic import scalar_from_json
-
-    coeffs = {
-        int(k): scalar_from_json(v, ctx.lambda_cap)
-        for k, v in obj.get("coeffs", {}).items()
-    }
-    return AnnulusForm(ctx, coeffs, int(obj.get("window", DEFAULT_WINDOW)))
+def form_from_json(obj, ctx: PadicContext) -> AnnulusForm:
+    """A form {"coeffs": {"k": scalar}, "window": M}; both keys are optional."""
+    cap = ctx.lambda_cap
+    coeffs = member(obj, "coeffs", entries, int_from_json, scalar_from_json, cap, default={})
+    window = member(obj, "window", int_from_json, 0, max_exponent(ctx.p), default=DEFAULT_WINDOW)
+    return AnnulusForm(ctx, coeffs, window)
 
 
 def cross_annulus_jump(

@@ -22,23 +22,48 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LambdaDegreeOverflow, PreconditionError
-from .jsonutil import int_from_json
+from .jsonutil import int_from_json, items, member, members
 
 DEFAULT_PRECISION = 20
 DEFAULT_LAMBDA_CAP = 4
 
 
+# Miller-Rabin on the prime bases 2..41 decides primality exactly below
+# PRIMALITY_BOUND (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = frozenset(_PRIME_BASES)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+# Units are written to JSON as decimal strings, and Python converts at most
+# 4,300 digits by default; keeping every exponent e of p read from JSON to
+# |e| * bits(p) <= MAX_EXPONENT_BITS bounds p^|e| by 2^14000 (4,215 digits).
+MAX_EXPONENT_BITS = 14_000
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
+    """Exact for n < PRIMALITY_BOUND; the bases are tried as divisors first."""
+    if n <= 41:
+        return n in _SMALL_PRIMES
+    if any(n % b == 0 for b in _PRIME_BASES):
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def max_exponent(p: int) -> int:
+    """Largest |e| for an exponent of p (val, prec, window) read from JSON."""
+    return MAX_EXPONENT_BITS // p.bit_length()
 
 
 def _vp(n: int, p: int) -> int:
@@ -239,7 +264,12 @@ class PadicNumber:
 
 
 def require_prime(p: int) -> int:
-    """p itself; a PreconditionError if p is not prime."""
+    """p itself; a PreconditionError if p is not prime, or too large for
+    `_is_prime` to decide."""
+    if p >= PRIMALITY_BOUND:
+        raise PreconditionError(
+            f"{p} is not below {PRIMALITY_BOUND}, the bound of the primality test"
+        )
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     return p
@@ -555,13 +585,18 @@ def padic_to_json(x: PadicNumber) -> dict:
     return {"p": x.p, "val": x.val, "unit": str(x.unit), "prec": x.prec}
 
 
-def padic_from_json(obj: dict) -> PadicNumber:
-    p, val, unit, prec = (int_from_json(obj[k], k) for k in ("p", "val", "unit", "prec"))
+def padic_from_json(obj) -> PadicNumber:
+    p, val, unit, prec = members(obj, ("p", "val", "unit", "prec"), int_from_json)
     require_prime(p)
+    top = max_exponent(p)
+    if not (-top <= val <= top and 1 <= prec <= top):
+        # read again through the range checks, whose error names the field
+        member(obj, "val", int_from_json, -top, top)
+        member(obj, "prec", int_from_json, 1, top)
     if unit == 0:
         return PadicNumber.zero(p, prec)
-    if prec < 1 or unit % p == 0 or not 0 < unit < p**prec:
-        raise PreconditionError(f"malformed p-adic JSON value {obj!r}")
+    if not 0 < unit < p**prec or unit % p == 0:
+        raise PreconditionError(f"{unit} is not a unit below {p}^{prec}", ("unit",))
     return PadicNumber(p, val, unit, prec)
 
 
@@ -569,5 +604,5 @@ def scalar_to_json(x: UniversalScalar) -> dict:
     return {"coeffs": [padic_to_json(c) for c in x.coeffs]}
 
 
-def scalar_from_json(obj: dict, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScalar:
-    return UniversalScalar.of([padic_from_json(c) for c in obj["coeffs"]], cap)
+def scalar_from_json(obj, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScalar:
+    return UniversalScalar.of(member(obj, "coeffs", items, padic_from_json), cap)

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vologcalc import cli
 from vologcalc.cli import run
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -49,6 +56,10 @@ def test_padic_log_env_precision(capsys):
     coeff = payload["log"]["coeffs"][0]
     # log of a unit is known modulo p^N for the overridden N
     assert coeff["val"] + coeff["prec"] == 7
+    for value, code in (("7.0", 2), (" 7", 2), ("0", 3)):
+        got, out = run_cli(["padic-log", "--p", "5", "--num", "3"], capsys,
+                           env={"VOLOG_PRECISION": value})
+        assert got == code and "'VOLOG_PRECISION'" in json.loads(out)["error"]["message"]
 
 
 def test_graph_project_tree_golden(capsys):
@@ -365,3 +376,161 @@ def test_console_script_entry():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["val"] == 2
+
+
+def test_decoders_reject_floats_and_name_the_json_path(tmp_path, capsys):
+    """Every decoder reads its values through the jsonutil readers: a wrong
+    type exits 2 and names the path, an out-of-range value exits 3."""
+    module = json.loads((FIXTURES / "kummer_module.json").read_text())
+    divisor = json.loads((FIXTURES / "divisor_D.json").read_text())
+    divisor["points"][0]["multiplicity"] = 1.5
+    divisor["points"][1]["multiplicity"] = -1.5
+    raw_list, no_coeffs = _cycle3_job(), _cycle3_job()
+    raw_list["edges"][0]["raw_c"] = [1]
+    del no_coeffs["edges"][0]["raw_c"]["coeffs"]
+
+    def fpn(tag, mod, cls=json.loads((FIXTURES / "kummer_class.json").read_text())):
+        return ["fpn-split", "--module", _write(tmp_path, f"m_{tag}.json", mod),
+                "--class", _write(tmp_path, f"c_{tag}.json", cls)]
+
+    cases = (
+        (fpn("float", module, {"x": [1.5], "y": [0.1], "z": [3.5]}), 2,
+         "x[0]: expected a rational"),
+        (fpn("p57", {**module, "p": 5.7}), 2, "field 'p': expected an integer"),
+        (fpn("p6", {**module, "p": 6}), 3, "6 is not prime"),
+        (["height-local", "--graph", str(FIXTURES / "cycle4.json"),
+          "--D", _write(tmp_path, "d.json", divisor), "--E", str(FIXTURES / "divisor_E.json")],
+         2, "field 'multiplicity' of points[0]: expected an integer"),
+        (["graph-project", "--graph", _write(tmp_path, "g.json", {"vertices": "ab", "edges": []}),
+          "--cochain", str(FIXTURES / "tree_cochain.json")],
+         2, "field 'vertices': expected a list"),
+        (["volog-assemble", "--job", _write(tmp_path, "j0.json", {**_cycle3_job(), "prec": 0})],
+         3, "field 'prec': expected an integer from 1"),
+        (["volog-assemble", "--job", _write(tmp_path, "j1.json", raw_list)],
+         2, "field 'raw_c' of edges[0]: expected an object"),
+        (["volog-assemble", "--job", _write(tmp_path, "j2.json", no_coeffs)],
+         2, "field 'coeffs' of edges[0].raw_c: missing"),
+    )
+    for argv, code, message in cases:
+        got, out = run_cli(argv, capsys)
+        error = json.loads(out)["error"]
+        assert (got, error["type"]) == (code, {2: "parse", 3: "precondition"}[code]), argv
+        assert error["message"].startswith(message), error["message"]
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_unreadable_job_file_exits_2(tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"p": "\xe9"}')
+    for path in (tmp_path, tmp_path / "latin1.json", tmp_path / "missing.json"):
+        code, out = run_cli(["volog-assemble", "--job", str(path)], capsys)
+        error = json.loads(out)["error"]
+        assert (code, error["type"]) == (2, "parse")
+        assert str(path) in error["message"]
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out = run_cli(
+        ["padic-log", "--p", "5", "--num", "3", "--output", str(target)], capsys
+    )
+    error = json.loads(out)["error"]
+    assert (code, error["type"]) == (2, "parse")
+    assert str(target) in error["message"]
+
+
+def test_negative_lambda_cap_is_a_usage_error(capsys):
+    code = run(["volog-assemble", "--job", str(FIXTURES / "job_assemble_cycle3.json"),
+                "--lambda-cap", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--lambda-cap: expected a non-negative integer, got '-1'" in captured.err
+
+
+def test_errors_outside_the_input_contract_are_not_mapped(monkeypatch):
+    """Only ParseError, PreconditionError and PrecisionOverflow become error
+    objects; anything else is a bug and propagates."""
+    def broken(args):
+        raise TypeError("a bug, not an input error")
+
+    monkeypatch.setattr(cli, "_cmd_padic_log", broken)
+    with pytest.raises(TypeError):
+        run(["padic-log", "--p", "5", "--num", "3"])
+
+
+# -- fixture mutations ---------------------------------------------------------
+
+GOLDEN_ARGV = (
+    ["graph-project", "--graph", "tree.json", "--cochain", "tree_cochain.json"],
+    ["graph-project", "--graph", "cycle3.json", "--cochain", "cycle3_cochain.json",
+     "--anchor", "v2"],
+    ["volog-assemble", "--job", "job_assemble_cycle3.json"],
+    ["volog-assemble", "--job", "job_assemble_forms.json"],
+    ["volog-ddlog", "--graph", "cycle3.json", "--residues", "cycle3_residues.json",
+     "--anchor", "v2"],
+    ["volog-iterated", "--job", "job_iterated_3cycle.json"],
+    ["height-local", "--graph", "cycle4.json", "--D", "divisor_D.json", "--E", "divisor_E.json"],
+    ["fpn-split", "--module", "kummer_module.json", "--class", "kummer_class.json"],
+)
+INSERTED = (1.5, True, None, -3, 10**12, 2**64 + 1, 3215031751)  # the last a strong pseudoprime
+
+
+def _json_paths(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_runs(draw):
+    argv = list(draw(st.sampled_from(GOLDEN_ARGV)))
+    slot = draw(st.sampled_from([i for i, a in enumerate(argv) if a.endswith(".json")]))
+    doc = json.loads((FIXTURES / argv[slot]).read_text())
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    mutations = ["insert"] + (["drop"] if path else [])
+    *parent_path, last = path or (None,)
+    parent = doc
+    for key in parent_path:
+        parent = parent[key]
+    value = parent[last] if path else doc
+    if isinstance(value, list):
+        mutations.append("unwrap")
+    elif not isinstance(value, dict):
+        mutations.append("wrap")
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "drop":
+        del parent[last]
+        return argv, slot, doc, False
+    if mutation == "insert":
+        new = draw(st.sampled_from(INSERTED))
+    else:
+        new = [value] if mutation == "wrap" else value[0] if value else 0
+    if path:
+        parent[last] = new
+    else:
+        doc = new
+    return argv, slot, doc, isinstance(new, float)
+
+
+@given(mutated_runs())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_fixtures_never_crash(tmp_path_factory, case):
+    """Drop a key or list element, insert a float, bool, null, negative or
+    large composite, or change a scalar into a list and back, anywhere in the
+    input of a golden command: the CLI exits 0, 2, 3 or 4 with a JSON object,
+    and an inserted float is never read as a number."""
+    argv, slot, doc, float_inserted = case
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    argv[slot] = _write(tmp_path_factory.mktemp("mutated"), "input.json", doc)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    assert code in (0, 2, 3, 4)
+    assert isinstance(json.loads(buf.getvalue()), dict)
+    if float_inserted:
+        assert code != 0

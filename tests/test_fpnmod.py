@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vologcalc.errors import PreconditionError
+from vologcalc.errors import ParseError, PreconditionError
 from vologcalc.fpnmod import (
     FpnModule,
     StTriple,
@@ -18,11 +18,9 @@ from vologcalc.fpnmod import (
     kummer_module,
     module,
     module_from_json,
-    module_to_json,
     normalize_class,
     synderi_check,
     triple_from_json,
-    triple_to_json,
     twist_uniformizer,
     validate,
 )
@@ -417,11 +415,43 @@ def test_regulator_shape_round_trip():
         assert synderi_check(M, t).ok
 
 
-def test_module_json_round_trip():
+def test_module_and_triple_from_json_decode_literal_json():
+    literal = {
+        "p": 3, "weights": [0, "-2"],
+        "phi": [["2", 0], ["1/3", "-5/7"]], "N": [["0", "0"], [1, "0"]],
+        "iso": [["1", "1"], ["0", "1"]], "f0": [["1", "-1"]],
+    }
+    assert module_from_json(literal) == module(
+        3, [[2, 0], [F(1, 3), F(-5, 7)]], [[0, 0], [1, 0]], [0, -2],
+        f0=[[1, -1]], iso=[[1, 1], [0, 1]],
+    )
     rng = random.Random(43)
-    M = random_case1_module(rng)
-    M2 = module_from_json(module_to_json(M))
-    assert M2 == M
+    M = random_case2_module(rng)
+    while not M.f0:
+        M = random_case2_module(rng)
+    obj = {
+        "p": M.p, "weights": list(M.weights),
+        "phi": [[str(v) for v in row] for row in M.phi],
+        "N": [[str(v) for v in row] for row in M.N],
+        "iso": [[str(v) for v in row] for row in M.iso],
+        "f0": [[str(v) for v in vec] for vec in M.f0],
+    }
+    assert module_from_json(obj) == M
     t = random_cocycle(rng, M)
-    t2 = triple_from_json(triple_to_json(t))
-    assert t2 == t
+    assert triple_from_json({k: [str(v) for v in getattr(t, k)] for k in "xyz"}) == t
+    # shape, type and primality failures name the offending value
+    n = M.dim
+    for key, value, exc, path in (
+        ("phi", obj["phi"][:-1], ParseError, ("phi",)),
+        ("iso", [row[:-1] for row in obj["iso"]], ParseError, ("iso", 0)),
+        ("f0", [["0.5"] * n], ParseError, ("f0", 0, 0)),
+        ("weights", [0.0] * n, ParseError, ("weights", 0)),
+        ("p", 6, PreconditionError, ()),
+        ("p", 5.7, ParseError, ("p",)),
+    ):
+        with pytest.raises(exc) as info:
+            module_from_json({**obj, key: value})
+        assert info.value.path == path, key
+    with pytest.raises(ParseError) as info:
+        triple_from_json({"x": ["1"], "y": [0.1], "z": ["7/2"]})
+    assert info.value.path == ("y", 0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vologcalc.errors import PreconditionError
+from vologcalc.errors import ParseError, PreconditionError
 from vologcalc.graphs import (
     Cochain,
     VertexFn,
@@ -14,7 +14,6 @@ from vologcalc.graphs import (
     edge_inner,
     graph,
     graph_from_json,
-    graph_to_json,
     harmonic_project,
     laplacian,
     path_graph,
@@ -274,9 +273,27 @@ def test_universal_scalar_coefficients():
     assert gamma.values[0].is_zero
 
 
-def test_graph_json_round_trip():
-    g = cycle_graph(4)
-    assert graph_from_json(graph_to_json(g)) == g
+def test_graph_from_json_decodes_literal_json():
+    obj = {
+        "vertices": ["v0", 1, "v2"],
+        "edges": [
+            {"id": "e0", "tail": "v0", "head": 1},
+            {"id": 7, "tail": 1, "head": "v2"},
+        ],
+    }
+    assert graph_from_json(obj) == graph(["v0", 1, "v2"], [("e0", "v0", 1), (7, 1, "v2")])
+    for bad, where in (
+        ({"vertices": "ab", "edges": []}, "field 'vertices': expected a list"),
+        ({"vertices": ["a", 1.0], "edges": []}, "vertices[1]: expected an identifier"),
+        ({"vertices": ["a", "b"], "edges": [{"id": "e", "tail": "a", "head": True}]},
+         "field 'head' of edges[0]: expected an identifier"),
+        ({"vertices": ["a"]}, "field 'edges': missing"),
+    ):
+        with pytest.raises(ParseError) as info:
+            graph_from_json(bad)
+        assert str(info.value).startswith(where), str(info.value)
+    with pytest.raises(PreconditionError):
+        graph_from_json({"vertices": [1, "1"], "edges": []})
 
 
 def test_antisymmetric_accessor():

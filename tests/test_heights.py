@@ -1,15 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from vologcalc.errors import PreconditionError
+from vologcalc.errors import ParseError, PreconditionError
 from vologcalc.graphs import cycle_graph, graph, laplacian, path_graph, rational_vertex_fn
 from vologcalc.heights import (
     discrete_height,
     divisor,
     divisor_from_json,
-    divisor_to_json,
     intersection_matrix,
     local_height_report,
     vertical_correction,
@@ -152,6 +152,24 @@ def test_cycle_green_function_closed_form():
                 assert discrete_height(g, D, E) == F(i * (n - j), n)
 
 
-def test_divisor_json_round_trip():
-    D = divisor([("P", 1, 0), ("Q", -1, 1)], {("P", "R"): F(5, 3)})
-    assert divisor_from_json(divisor_to_json(D)) == D
+def test_divisor_from_json_decodes_literal_json():
+    obj = {
+        "points": [
+            {"label": "P", "multiplicity": 1, "component": 0},
+            {"label": "Q", "multiplicity": "-1", "component": "v1"},
+        ],
+        "horizontal_pairings": [
+            {"own": "P", "other": "R", "value": "5/3"},
+            {"own": "Q", "other": 2, "value": -2},
+        ],
+    }
+    D = divisor([("P", 1, 0), ("Q", -1, "v1")], {("P", "R"): F(5, 3), ("Q", 2): F(-2)})
+    assert divisor_from_json(obj) == D
+    assert divisor_from_json({"points": obj["points"]}) == divisor([("P", 1, 0), ("Q", -1, "v1")])
+    for path, value in ((("points", 1, "multiplicity"), -1.5),
+                        (("horizontal_pairings", 0, "value"), 1.5)):
+        bad = json.loads(json.dumps(obj))
+        bad[path[0]][path[1]][path[2]] = value
+        with pytest.raises(ParseError) as info:
+            divisor_from_json(bad)
+        assert info.value.path == path

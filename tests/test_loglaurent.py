@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vologcalc.errors import LogDegreeOverflow, PreconditionError, WindowTruncation
+from vologcalc.errors import LogDegreeOverflow, ParseError, PreconditionError, WindowTruncation
 from vologcalc.loglaurent import (
     AnnulusForm,
     LogLaurentFunction,
@@ -227,15 +227,25 @@ def test_form_as_function_round_trip():
         as_form(llf({(0, 1): 1}))
 
 
-def test_json_round_trips():
-    from vologcalc.loglaurent import (
-        form_from_json,
-        form_to_json,
-        function_from_json,
-        function_to_json,
-    )
+def test_form_from_json_decodes_literal_json():
+    from vologcalc.loglaurent import DEFAULT_WINDOW, form_from_json
 
-    F = llf({(0, 1): 1, (-3, 0): 4, (7, 2): -2})
-    assert function_from_json(CTX, function_to_json(F)) == F
-    omega = form({-2: 3, 0: 1})
-    assert form_from_json(CTX, form_to_json(omega)) == omega
+    three = {"coeffs": [{"p": 5, "val": 0, "unit": "3", "prec": 12}]}
+    one_plus_l = {"coeffs": [{"p": 5, "val": 0, "unit": 1, "prec": "12"},
+                             {"p": 5, "val": 0, "unit": "1", "prec": 12}]}
+    omega = form_from_json({"coeffs": {"-2": three, "0": one_plus_l}, "window": 4}, CTX)
+    assert omega == AnnulusForm(CTX, {-2: CTX.scalar(3), 0: CTX.scalar(1, 1)}, 4)
+    assert omega.window == 4
+    empty = form_from_json({}, CTX)
+    assert empty.coeffs == {} and empty.window == DEFAULT_WINDOW
+    for bad, exc, path in (
+        ({"coeffs": {"1.5": three}}, ParseError, ("coeffs", "1.5")),
+        ({"coeffs": {"0": {"coeffs": [{**three["coeffs"][0], "val": 0.0}]}}}, ParseError,
+         ("coeffs", "0", "coeffs", 0, "val")),
+        ({"window": 12.0}, ParseError, ("window",)),
+        ({"window": -1}, PreconditionError, ("window",)),
+        ({"coeffs": {"5": three}, "window": 4}, PreconditionError, ()),
+    ):
+        with pytest.raises(exc) as info:
+            form_from_json(bad, CTX)
+        assert info.value.path == path, bad

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from vologcalc.errors import LambdaDegreeOverflow, PreconditionError
 from vologcalc.padic import (
+    PRIMALITY_BOUND,
     PadicContext,
     PadicNumber,
+    _is_prime,
     UniversalScalar,
     derive_at_zero,
     from_fraction,
@@ -18,6 +21,7 @@ from vologcalc.padic import (
     make_padic,
     padic_from_json,
     padic_to_json,
+    require_prime,
     scalar_from_json,
     scalar_to_json,
 )
@@ -293,3 +297,36 @@ def test_json_round_trip():
     assert scalar_from_json(scalar_to_json(s)) == s
     with pytest.raises(PreconditionError):
         padic_from_json({"p": 5, "val": 0, "unit": "10", "prec": 2})
+
+
+def test_is_prime_agrees_with_trial_division():
+    sieve = [False, False] + [True] * (20_000 - 2)
+    for i in range(2, 142):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    assert [n for n in range(20_000) if _is_prime(n)] == [n for n in range(20_000) if sieve[n]]
+
+
+def test_is_prime_on_large_primes_and_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4 and to the first 9 prime bases
+    for n in (3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+        with pytest.raises(PreconditionError, match=f"{n} is not prime"):
+            require_prime(n)
+    for n in (10**14 + 31, 2**61 - 1):
+        start = time.perf_counter()
+        assert require_prime(n) == n
+        assert time.perf_counter() - start < 0.01
+    for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 2**89 - 1):
+        with pytest.raises(PreconditionError, match="bound of the primality test"):
+            require_prime(n)
+
+
+def test_padic_json_ranges_name_the_field():
+    good = {"p": 5, "val": -3, "unit": "7", "prec": 4}
+    assert padic_from_json(good) == PadicNumber(5, -3, 7, 4)
+    for key, value in (("prec", 0), ("prec", 10**12), ("val", -(10**12)), ("unit", -7),
+                       ("unit", "625"), ("unit", 10)):
+        with pytest.raises(PreconditionError) as info:
+            padic_from_json({**good, key: value})
+        assert info.value.path == (key,), (key, value)
