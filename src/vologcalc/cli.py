@@ -10,18 +10,20 @@ objects, anything else is a bug and propagates. JSON values are read by the
 on any subcommand prints its input schema, the file
 `schemas/<subcommand>.json` shipped in this package.
 The environment variable VOLOG_PRECISION overrides the default working
-precision.
+precision; it and `--prec` are bounded like JSON exponents of p. fpn-split
+checks the identities of its module (`fpnmod.validate`) before splitting.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .errors import ParseError, PreconditionError, PrecisionOverflow
-from .fpnmod import module_from_json, synderi_check, triple_from_json
+from .fpnmod import module_from_json, synderi_check, triple_from_json, validate
 from .graphs import Cochain, VertexFn, graph_from_json, harmonic_project
 from .heights import divisor_from_json, local_height_report
 from .jsonutil import (
@@ -56,9 +58,15 @@ from .volog import (
 _SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
 
 
-def _default_precision() -> int:
-    """VOLOG_PRECISION, read like an integer JSON field, else the default."""
-    return member(dict(os.environ), "VOLOG_PRECISION", int_from_json, 1, default=DEFAULT_PRECISION)
+def _precision(p: int, flag: int | None = None) -> int:
+    """The working precision: the --prec value `flag` if given, else
+    VOLOG_PRECISION, else the default. Either is read like an integer JSON
+    field and bounded like a JSON exponent of p, so an error names its source."""
+    if flag is None:
+        source, key = dict(os.environ), "VOLOG_PRECISION"
+    else:
+        source, key = {"--prec": flag}, "--prec"
+    return member(source, key, int_from_json, 1, max_exponent(p), default=DEFAULT_PRECISION)
 
 
 def _load_json(path: str):
@@ -129,8 +137,8 @@ def _rational_cochain(g, obj, what: str) -> Cochain:
 
 
 def _cmd_padic_log(args) -> dict:
-    prec = args.prec if args.prec is not None else _default_precision()
-    z = make_padic(args.p, args.num, args.den, prec)
+    p = require_prime(args.p)
+    z = make_padic(p, args.num, args.den, _precision(p, args.prec))
     if z.is_zero:
         raise PreconditionError("logarithm of zero")
     lg = iwasawa_log(z)
@@ -190,7 +198,7 @@ def _cmd_volog_assemble(args) -> dict:
     job = _load_json(args.job)
     p = _infer_prime(job)
     prec = member(job, "prec", int_from_json, 1, max_exponent(p), default=None)
-    ctx = PadicContext(p, prec or _default_precision(), args.lambda_cap)
+    ctx = PadicContext(p, prec or _precision(p), args.lambda_cap)
     g = member(job, "graph", graph_from_json)
     edges = tuple(member(job, "edges", items, _edge_from_json, ctx))
     anchor = _resolve_anchor(g, member(job, "anchor", id_from_json, default=None))
@@ -247,6 +255,9 @@ def _cmd_fpn_split(args) -> dict:
         raise PreconditionError(
             f"class vectors x, y, z must each have the module dimension {M.dim}"
         )
+    violation = validate(M)
+    if violation is not None:
+        raise PreconditionError(violation)
     witness = synderi_check(M, t)
     return {
         "beta": [frac_to_str(v) for v in witness.normal_form.beta],
@@ -258,7 +269,10 @@ def _cmd_fpn_split(args) -> dict:
 # -- argument parsing ----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; a subcommand's function is looked up
+    by name when it runs (see `run`)."""
     parser = argparse.ArgumentParser(
         prog="vologcalc",
         description="branch-parameter calculus on semi-stable curves (JSON in, JSON out)",
@@ -275,14 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--den", type=int, default=1)
     p.add_argument("--prec", type=int, default=None)
     common(p)
-    p.set_defaults(run=_cmd_padic_log)
 
     p = sub.add_parser("graph-project", help="harmonic/coboundary split of a cochain")
     p.add_argument("--graph", required=True)
     p.add_argument("--cochain", required=True)
     p.add_argument("--anchor", default=None)
     common(p)
-    p.set_defaults(run=_cmd_graph_project)
 
     p = sub.add_parser("volog-assemble", help="assemble an integral from local data")
     p.add_argument("--job", required=True)
@@ -290,19 +302,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lambda-cap", type=_nonnegative_int, default=DEFAULT_LAMBDA_CAP, dest="lambda_cap"
     )
     common(p)
-    p.set_defaults(run=_cmd_volog_assemble)
 
     p = sub.add_parser("volog-ddlog", help="branch derivative from vertex residues")
     p.add_argument("--graph", required=True)
     p.add_argument("--residues", required=True)
     p.add_argument("--anchor", default=None)
     common(p)
-    p.set_defaults(run=_cmd_volog_ddlog)
 
     p = sub.add_parser("volog-iterated", help="branch derivative of a double integral")
     p.add_argument("--job", required=True)
     common(p)
-    p.set_defaults(run=_cmd_volog_iterated)
 
     p = sub.add_parser("height-local", help="discrete local height pairing")
     p.add_argument("--graph", required=True)
@@ -310,13 +319,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", required=True, dest="E")
     p.add_argument("--anchor", default=None)
     common(p)
-    p.set_defaults(run=_cmd_height_local)
 
     p = sub.add_parser("fpn-split", help="split an extension class into (beta, rho)")
     p.add_argument("--module", required=True)
     p.add_argument("--class", required=True, dest="class_file")
     common(p)
-    p.set_defaults(run=_cmd_fpn_split)
 
     return parser
 
@@ -338,7 +345,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _emit(args.run(args), args.output)
+        command = globals()["_cmd_" + args.command.replace("-", "_")]
+        _emit(command(args), args.output)
     except ParseError as exc:
         _emit({"error": {"type": "parse", "message": str(exc)}}, None)
         return 2

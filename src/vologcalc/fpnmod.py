@@ -5,7 +5,9 @@ N phi = p phi N, a basis-aligned weight grading (N lowers weight by 2, phi
 preserves it, phi - 1 invertible away from weight 0), an F^0 subspace of the
 filtered side D_K, and the comparison map I between the two sides at the
 reference uniformizer p. Changing uniformizer composes I with exp(l N),
-l the logarithm of the ratio.
+l the logarithm of the ratio. `validate` leans on two implications of the
+grading: N lowering weight by 2 makes N nilpotent, and phi preserving the
+weights is invertible exactly when each weight block of it is.
 
 An extension class of the unit object by D is a cocycle triple (x, y, z)
 with N x + (1 - p phi) y = 0, x, y in D, z in D_K modulo F^0, taken up to
@@ -16,13 +18,13 @@ normalized y). The headline identity, checked by synderi_check, is that
 the branch derivative of beta is -I(rho).
 
 All linear algebra is exact over Fraction; triples may carry p-adic entries
-in the z slot (the matrices stay rational), which is how arithmetic data
-flows in from the logarithm.
+in the z slot only (the matrices and x, y stay rational), which is how
+arithmetic data flows in from the logarithm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -37,7 +39,7 @@ from .linalg import (
     reduce_mod_span,
     row_echelon_basis,
 )
-from .padic import PadicNumber, iwasawa_log, make_padic, require_prime
+from .padic import iwasawa_log, make_padic, require_prime
 
 
 def _frac_matrix(rows):
@@ -50,7 +52,9 @@ def _frac_vector(v):
 
 @dataclass(frozen=True)
 class FpnModule:
-    """Dimension-n module: matrices act on column vectors in the weight basis."""
+    """Dimension-n module: matrices act on column vectors in the weight basis.
+
+    The echelon form of F^0 is computed once, when the module is made."""
 
     p: int
     phi: tuple
@@ -58,6 +62,10 @@ class FpnModule:
     weights: tuple
     f0: tuple
     iso: tuple
+    _f0_echelon: tuple = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_f0_echelon", row_echelon_basis(self.f0))
 
     @property
     def dim(self) -> int:
@@ -70,33 +78,30 @@ class FpnModule:
         return sorted(set(self.weights))
 
     def project_weight(self, vec, k: int):
-        return tuple(
-            vec[i] if self.weights[i] == k else _zero_like(vec[i]) for i in range(self.dim)
-        )
-
-    def f0_echelon(self):
-        if not self.f0:
-            return [], []
-        return row_echelon_basis(self.f0)
+        return tuple(vec[i] if self.weights[i] == k else Fraction(0) for i in range(self.dim))
 
     def reduce_mod_f0(self, vec):
         """Canonical coset representative in D_K / F^0."""
-        rows, pivots = self.f0_echelon()
-        return reduce_mod_span(tuple(vec), rows, pivots)
-
-    def nilpotency_index(self) -> int:
-        power = identity(self.dim)
-        for m in range(self.dim + 1):
-            if all(all(v == 0 for v in row) for row in power):
-                return m
-            power = mat_mul(self.N, power)
-        raise PreconditionError("monodromy operator is not nilpotent")
+        return reduce_mod_span(tuple(vec), *self._f0_echelon)
 
 
-def _zero_like(x):
-    if isinstance(x, PadicNumber):
-        return PadicNumber.zero(x.p, x.prec)
-    return Fraction(0)
+def _block(matrix, rows, cols, shift=0):
+    """The rows x cols submatrix of `matrix`, less `shift` on the diagonal."""
+    return [[matrix[i][j] - (shift if i == j else 0) for j in cols] for i in rows]
+
+
+def _monodromy_series(M: FpnModule, y):
+    """(j, I N^(j-1) y) for j = 1, 2, ..., up to the last j with N^(j-1) y != 0.
+
+    Every uniformizer change is a finite sum over this series. A nilpotent N
+    has N^dim = 0, so a nonzero N^dim y shows N is not nilpotent."""
+    j = 1
+    while any(v != 0 for v in y):
+        if j > M.dim:
+            raise PreconditionError("monodromy operator is not nilpotent")
+        yield j, mat_vec(M.iso, y)
+        y = mat_vec(M.N, y)
+        j += 1
 
 
 def module(p, phi, N, weights, f0=(), iso=None) -> FpnModule:
@@ -114,7 +119,12 @@ def module(p, phi, N, weights, f0=(), iso=None) -> FpnModule:
 
 def validate(M: FpnModule):
     """Check the structural identities; None if all hold, else the first
-    violation with indices."""
+    violation with indices.
+
+    Two identities follow from earlier checks and cost nothing more: N is
+    nilpotent because it lowers weight by 2 (N^k lowers it by 2k, and there
+    are at most dim weights), and phi, which preserves the grading, is
+    invertible exactly when each of its weight blocks is."""
     n = M.dim
     p = M.p
     nphi = mat_mul(M.N, M.phi)
@@ -139,19 +149,11 @@ def validate(M: FpnModule):
                 return (
                     f"Frobenius does not preserve the weight grading at ({i}, {j})"
                 )
-    for k in M.weight_set():
-        if k == 0:
-            continue
-        idx = M.weight_indices(k)
-        block = [[M.phi[i][j] - (1 if i == j else 0) for j in idx] for i in idx]
-        if not is_invertible(block):
+    blocks = [(k, M.weight_indices(k)) for k in M.weight_set()]
+    for k, idx in blocks:
+        if k != 0 and not is_invertible(_block(M.phi, idx, idx, 1)):
             return f"phi - 1 is singular on the weight-{k} summand"
-    power = identity(n)
-    for _ in range(n):
-        power = mat_mul(M.N, power)
-    if any(any(v != 0 for v in row) for row in power):
-        return "monodromy operator is not nilpotent"
-    if not is_invertible(M.phi):
+    if not all(is_invertible(_block(M.phi, idx, idx)) for _, idx in blocks):
         return "Frobenius is singular"
     if not is_invertible(M.iso):
         return "comparison map is singular"
@@ -263,11 +265,7 @@ def ext_to_triple(ext: FpnExtension, A, B) -> StTriple:
         raise PreconditionError("A does not lift 1 in the quotient")
     if B[n] != 1:
         raise PreconditionError("B does not lift 1 in the quotient")
-    if ext.f0:
-        rows, pivots = row_echelon_basis(ext.f0)
-        if any(v != 0 for v in reduce_mod_span(B, rows, pivots)):
-            raise PreconditionError("B is not in F^0 of the extension")
-    elif any(v != 0 for v in B):
+    if any(v != 0 for v in reduce_mod_span(B, *row_echelon_basis(ext.f0))):
         raise PreconditionError("B is not in F^0 of the extension")
 
     def triple_for(lift):
@@ -304,22 +302,22 @@ class NormalForm:
     case: int
 
 
-def _solve_weight_blocks(M: FpnModule, x):
+def _solve_weight_blocks(M: FpnModule, x) -> list:
     """w with (phi - 1) w = x blockwise on the nonzero weights; the weight-0
     component of x must vanish (callers guarantee it by case analysis)."""
     w = [Fraction(0)] * M.dim
     for k in M.weight_set():
-        idx = M.weight_indices(k)
-        xs = [x[i] for i in idx]
         if k == 0:
             continue
-        block = [[M.phi[i][j] - (1 if i == j else 0) for j in idx] for i in idx]
-        if not is_invertible(block):
-            raise PreconditionError(f"phi - 1 is singular on the weight-{k} summand")
-        sol = gauss_solve(block, xs)
+        idx = M.weight_indices(k)
+        sol = gauss_solve(
+            _block(M.phi, idx, idx, 1),
+            [x[i] for i in idx],
+            f"phi - 1 is singular on the weight-{k} summand",
+        )
         for i, v in zip(idx, sol):
             w[i] = v
-    return tuple(w)
+    return w
 
 
 def normalize_class(M: FpnModule, t: StTriple) -> NormalForm:
@@ -339,23 +337,18 @@ def normalize_class(M: FpnModule, t: StTriple) -> NormalForm:
     check_cocycle(M, t)
     idx0 = M.weight_indices(0)
     case = 1 if not idx0 else 2
+    w = _solve_weight_blocks(M, t.x)
     if case == 2:
+        unsupported = (
+            "unsupported module: weight-0 part nonzero and monodromy is not an "
+            "isomorphism onto weight -2"
+        )
         idx2 = M.weight_indices(-2)
-        n_block = [[M.N[i][j] for j in idx0] for i in idx2]
-        if len(idx0) != len(idx2) or not is_invertible(n_block):
-            raise PreconditionError(
-                "unsupported module: weight-0 part nonzero and monodromy is not an "
-                "isomorphism onto weight -2"
-            )
-    w = list(_solve_weight_blocks(M, t.x))
-    if case == 2:
-        # current y after the first correction
+        if len(idx0) != len(idx2):
+            raise PreconditionError(unsupported)
+        # kill the weight -2 part of y left after the first correction
         nw = mat_vec(M.N, tuple(w))
-        y_cur = tuple(t.y[i] - nw[i] for i in range(M.dim))
-        idx2 = M.weight_indices(-2)
-        y2 = [y_cur[i] for i in idx2]
-        n_block = [[M.N[i][j] for j in idx0] for i in idx2]
-        sol = gauss_solve(n_block, y2)
+        sol = gauss_solve(_block(M.N, idx2, idx0), [t.y[i] - nw[i] for i in idx2], unsupported)
         for i, v in zip(idx0, sol):
             w[i] = w[i] + v
     w = tuple(w)
@@ -366,12 +359,8 @@ def normalize_class(M: FpnModule, t: StTriple) -> NormalForm:
         raise PreconditionError(
             "cocycle not reducible: y survives the weight-0 correction"
         )
-    rho = (
-        M.project_weight(norm.y, -2)
-        if case == 1
-        else tuple(Fraction(0) for _ in range(M.dim))
-    )
-    return NormalForm(norm, norm.z, rho, w, case)
+    # in case 2 norm.y is zero, so rho is too
+    return NormalForm(norm, norm.z, M.project_weight(norm.y, -2), w, case)
 
 
 def change_uniformizer_class(t: StTriple, ell, M: FpnModule) -> StTriple:
@@ -380,39 +369,25 @@ def change_uniformizer_class(t: StTriple, ell, M: FpnModule) -> StTriple:
     truncates at the nilpotency index, so this is exact."""
     ell = Fraction(ell)
     z = list(t.z)
-    current = tuple(t.y)
-    j = 1
-    while any(_nonzero(v) for v in current):
-        iv = mat_vec(M.iso, current)
+    for j, iv in _monodromy_series(M, t.y):
         coeff = ell**j / factorial(j)
-        for i in range(M.dim):
-            z[i] = z[i] - coeff * iv[i]
-        current = mat_vec(M.N, current)
-        j += 1
-        if j > M.dim + 1:
-            break
+        z = [a - coeff * b for a, b in zip(z, iv)]
     return StTriple(t.x, t.y, M.reduce_mod_f0(tuple(z)))
 
 
-def _nonzero(v) -> bool:
-    if isinstance(v, PadicNumber):
-        return not v.is_zero
-    return v != 0
-
-
 def twist_uniformizer(M: FpnModule, ell) -> FpnModule:
-    """The same module with the comparison map at the shifted uniformizer."""
+    """The same module with the comparison map at the shifted uniformizer:
+    column k of I exp(ell N) is sum_{j >= 1} ell^(j-1) / (j-1)! * I N^(j-1) e_k."""
     ell = Fraction(ell)
     n = M.dim
-    exp = identity(n)
-    power = identity(n)
-    for j in range(1, n + 1):
-        power = mat_mul(power, M.N)
-        coeff = ell**j / factorial(j)
-        exp = tuple(
-            tuple(exp[i][k] + coeff * power[i][k] for k in range(n)) for i in range(n)
-        )
-    return FpnModule(M.p, M.phi, M.N, M.weights, M.f0, mat_mul(M.iso, exp))
+    columns = []
+    for e in identity(n):
+        col = [Fraction(0)] * n
+        for j, iv in _monodromy_series(M, e):
+            coeff = ell ** (j - 1) / factorial(j - 1)
+            col = [c + coeff * v for c, v in zip(col, iv)]
+        columns.append(col)
+    return FpnModule(M.p, M.phi, M.N, M.weights, M.f0, tuple(zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -435,15 +410,11 @@ def synderi_check(M: FpnModule, t: StTriple) -> SynderiWitness:
     plus the whole polynomial and the normal form it checked, for inspection.
     """
     nf = normalize_class(M, t)
-    y_norm = nf.triple.y
     coeffs = [nf.beta]
-    current = tuple(y_norm)
-    for j in range(1, M.nilpotency_index() + 1):
-        iv = mat_vec(M.iso, current)
+    for j, iv in _monodromy_series(M, nf.triple.y):
         coeffs.append(
             M.reduce_mod_f0(tuple(Fraction(-1, factorial(j)) * v for v in iv))
         )
-        current = mat_vec(M.N, current)
     while len(coeffs) > 1 and all(v == 0 for v in coeffs[-1]):
         coeffs.pop()
     if len(coeffs) == 1:

@@ -139,15 +139,15 @@ def _solve_rational(factor: BareissFactor, rhs):
     return [Fraction(v, det * scale) for v in y]
 
 
-def gauss_solve(matrix, rhs):
-    """Solve A x = b for square Fraction A (nonsingular), generic b, by
-    echelonizing [A | b]."""
+def gauss_solve(matrix, rhs, singular: str = "singular system in exact solve"):
+    """Solve A x = b for square Fraction A, generic b, by echelonizing
+    [A | b] once; a singular A raises PreconditionError(singular)."""
     n = len(matrix)
     rows, pivots = row_echelon_basis(
         [[Fraction(v) for v in row] + [b] for row, b in zip(matrix, rhs, strict=True)]
     )
     if pivots != list(range(n)):
-        raise PreconditionError("singular system in exact solve")
+        raise PreconditionError(singular)
     return [row[n] for row in rows]
 
 
@@ -169,10 +169,12 @@ def _dot(row, vec):
 
 
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
+    """a b over Fraction, skipping products with a zero factor, so that a
+    sparse factor (a monodromy operator) costs little."""
+    cols = range(len(b[0]) if b else 0)
     return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
+        tuple(sum((x * r[j] for x, r in zip(row, b) if x and r[j]), Fraction(0)) for j in cols)
+        for row in a
     )
 
 

@@ -6,6 +6,9 @@ and a rank routine. Acceptance checks compare library output against these.
 `bareiss_reference` is the one-shot fraction-free loop that the library's
 factor-once solver replaced; it pins the p-adic results (digits and
 precision) of that solver to the original order of operations.
+`validate_reference` is the Frobenius-monodromy module check as first
+written: it tests nilpotency by powers of N and invertibility of the whole
+Frobenius matrix, which the library infers from the weight checks.
 """
 
 from fractions import Fraction
@@ -146,3 +149,57 @@ def random_connected_graph(rng, max_vertices, graph_builder):
         pairs.add(frozenset((u, v)))
         extra -= 1
     return graph_builder(range(n), edges)
+
+
+def _dense_mul(a, b):
+    k, m = len(b), len(b[0])
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
+        for i in range(len(a))
+    ]
+
+
+def validate_reference(M):
+    """None if the module's identities hold, else the first violation, in
+    the library's order and wording."""
+    n = M.dim
+    p = M.p
+    if n == 0:
+        return None
+    nphi = _dense_mul(M.N, M.phi)
+    pphin = [[p * v for v in row] for row in _dense_mul(M.phi, M.N)]
+    for i in range(n):
+        for j in range(n):
+            if nphi[i][j] != pphin[i][j]:
+                return (
+                    f"monodromy-Frobenius relation fails at entry ({i}, {j}): "
+                    f"(N phi) = {nphi[i][j]}, p (phi N) = {pphin[i][j]}"
+                )
+    for j in range(n):
+        for i in range(n):
+            if M.N[i][j] != 0 and M.weights[i] != M.weights[j] - 2:
+                return (
+                    f"monodromy does not lower weight by 2 at entry ({i}, {j}): "
+                    f"maps weight {M.weights[j]} into weight {M.weights[i]}"
+                )
+    for j in range(n):
+        for i in range(n):
+            if M.phi[i][j] != 0 and M.weights[i] != M.weights[j]:
+                return f"Frobenius does not preserve the weight grading at ({i}, {j})"
+    for k in sorted(set(M.weights)):
+        if k == 0:
+            continue
+        idx = [i for i, w in enumerate(M.weights) if w == k]
+        block = [[M.phi[i][j] - (1 if i == j else 0) for j in idx] for i in idx]
+        if rank_oracle(block) != len(idx):
+            return f"phi - 1 is singular on the weight-{k} summand"
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        power = _dense_mul(M.N, power)
+    if any(any(v != 0 for v in row) for row in power):
+        return "monodromy operator is not nilpotent"
+    if rank_oracle(M.phi) != n:
+        return "Frobenius is singular"
+    if rank_oracle(M.iso) != n:
+        return "comparison map is singular"
+    return None

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from vologcalc import cli
 from vologcalc.cli import run
+from vologcalc.fpnmod import module_from_json, validate
+from vologcalc.padic import max_exponent
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -178,6 +181,58 @@ def test_fpn_split_rejects_class_of_wrong_dimension(capsys, tmp_path):
         )
         assert code == 3, name
         assert json.loads(out)["error"]["type"] == "precondition"
+
+
+# one module per identity that fpnmod.validate checks, each breaking only it
+FPN_VIOLATIONS = (
+    ("monodromy-Frobenius relation fails",
+     {"p": 5, "weights": [0, -2], "phi": [["1", "0"], ["0", "1"]], "N": [["0", "0"], ["1", "0"]]}),
+    ("monodromy does not lower weight by 2",
+     {"p": 5, "weights": [0, -2], "phi": [["1/25", "0"], ["0", "1/5"]],
+      "N": [["0", "1"], ["0", "0"]]}),
+    ("Frobenius does not preserve the weight grading",
+     {"p": 5, "weights": [-2, 2], "phi": [["1/5", "1"], ["0", "3"]], "N": [["0", "0"], ["0", "0"]]}),
+    ("phi - 1 is singular on the weight-2 summand",
+     {"p": 5, "weights": [2], "phi": [["1"]], "N": [["0"]]}),
+    ("Frobenius is singular", {"p": 5, "weights": [0], "phi": [["0"]], "N": [["0"]]}),
+    ("comparison map is singular",
+     {"p": 5, "weights": [-2], "phi": [["1/5"]], "N": [["0"]], "iso": [["0"]]}),
+)
+
+
+def test_fpn_split_rejects_modules_that_break_an_identity(capsys, tmp_path):
+    """fpn-split checks its module before splitting: a module that breaks one
+    identity exits 3 with validate()'s message."""
+    for i, (message, mod) in enumerate(FPN_VIOLATIONS):
+        zero = ["0"] * len(mod["weights"])
+        argv = ["fpn-split", "--module", _write(tmp_path, f"m{i}.json", mod),
+                "--class", _write(tmp_path, f"c{i}.json", {"x": zero, "y": zero, "z": zero})]
+        code, out = run_cli(argv, capsys)
+        error = json.loads(out)["error"]
+        assert (code, error["type"]) == (3, "precondition"), message
+        assert error["message"].startswith(message)
+        assert error["message"] == validate(module_from_json(mod))
+
+
+def test_precisions_from_argv_and_environment_are_bounded(capsys, tmp_path):
+    """--prec and VOLOG_PRECISION are bounded like JSON exponents of p, so a
+    huge value exits 3 at once, naming its source, instead of running a long
+    logarithm series."""
+    job = _cycle3_job()
+    del job["prec"]
+    bound = f"from 1 to {max_exponent(5)}, got 20000"
+    for argv, env, source in (
+        (["padic-log", "--p", "5", "--num", "3", "--prec", "20000"], None, "'--prec'"),
+        (["padic-log", "--p", "5", "--num", "3"], {"VOLOG_PRECISION": "20000"},
+         "'VOLOG_PRECISION'"),
+        (["volog-assemble", "--job", _write(tmp_path, "job.json", job)],
+         {"VOLOG_PRECISION": "20000"}, "'VOLOG_PRECISION'"),
+    ):
+        start = time.perf_counter()
+        code, out = run_cli(argv, capsys, env=env)
+        assert time.perf_counter() - start < 1.0, argv
+        message = json.loads(out)["error"]["message"]
+        assert code == 3 and source in message and bound in message, (argv, message)
 
 
 def test_deterministic_output(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -26,6 +27,8 @@ from vologcalc.fpnmod import (
 )
 from vologcalc.linalg import is_invertible, mat_vec
 from vologcalc.padic import iwasawa_log, make_padic
+
+from .oracles import validate_reference
 
 
 def F(*args):
@@ -210,6 +213,95 @@ def test_validate_rejects_non_nilpotent():
     M = module(5, [[F(1, 5)]], [[1]], [-2])
     report = validate(M)
     assert report is not None
+
+
+VIOLATIONS = (
+    "monodromy-Frobenius relation fails",
+    "monodromy does not lower weight by 2",
+    "Frobenius does not preserve the weight grading",
+    "phi - 1 is singular",
+    "Frobenius is singular",
+    "comparison map is singular",
+)
+
+
+def _mutants(rng, M: FpnModule):
+    """Copies of M, each aimed at one identity: a non-nilpotent N, a phi
+    entry off the grading, a singular phi block, phi = 0 and a singular iso."""
+    n = M.dim
+    i, j = rng.randrange(n), rng.randrange(n)
+    N = [list(row) for row in M.N]
+    N[i][i] += 1
+    yield module(M.p, M.phi, N, M.weights, M.f0, M.iso)
+    others = [b for b in range(n) if M.weights[b] != M.weights[i]]
+    if others:
+        phi = [list(row) for row in M.phi]
+        phi[i][rng.choice(others)] += 1
+        yield module(M.p, phi, M.N, M.weights, M.f0, M.iso)
+    phi = [list(row) for row in M.phi]
+    for b in M.weight_indices(M.weights[i]):
+        phi[i][b] = F(0)
+    yield module(M.p, phi, M.N, M.weights, M.f0, M.iso)
+    yield module(M.p, [[0] * n for _ in range(n)], M.N, M.weights, M.f0, M.iso)
+    iso = [list(row) for row in M.iso]
+    iso[j] = [F(0)] * n
+    yield module(M.p, M.phi, M.N, M.weights, M.f0, iso)
+
+
+def test_validate_agrees_with_reference():
+    """The cheap validate() reports what the check with the nilpotency loop
+    and the whole-matrix Frobenius test reports, on valid modules and on
+    modules that break each identity."""
+    rng = random.Random(47)
+    seen = set()
+    # N raising weight, and a non-nilpotent N, each with N phi = p phi N
+    mutants = [
+        module(5, [[F(1, 25), 0], [0, F(1, 5)]], [[0, 1], [0, 0]], [0, -2]),
+        module(5, [[0, 0], [0, 0]], [[1, 0], [0, 1]], [0, -2]),
+    ]
+    for make in [random_case1_module] * 20 + [random_case2_module] * 10:
+        M = make(rng)
+        assert validate(M) is None and validate_reference(M) is None
+        mutants += _mutants(rng, M)
+    for bad in mutants:
+        got, want = validate(bad), validate_reference(bad)
+        assert (got is None) == (want is None), (bad, got, want)
+        if want is not None and "not nilpotent" not in want:
+            assert got == want
+            seen.update(kind for kind in VIOLATIONS if want.startswith(kind))
+    assert seen == set(VIOLATIONS)
+
+
+def test_monodromy_series_stops_where_n_y_vanishes():
+    """N y = 0 with N != 0: beta_poly stops after the degree-1 term, as the
+    series run to the nilpotency index with its zero tail popped does."""
+    p = 5
+    q = F(1, p)
+    # e0 -> e2 under N, e1 in its kernel; weight -2 carries phi = 1/p
+    M = module(
+        p,
+        [[q, 0, 0], [0, q, 0], [0, 0, q * q]],
+        [[0, 0, 0], [0, 0, 0], [1, 0, 0]],
+        [-2, -2, -4],
+        iso=[[1, 2, 0], [0, 1, 3], [1, 0, 1]],
+    )
+    assert validate(M) is None
+    for y, degree in (((F(0), F(3), F(0)), 1), ((F(2), F(3), F(0)), 2)):
+        t = StTriple((F(0),) * 3, y, (F(1), F(0), F(0)))
+        witness = synderi_check(M, t)
+        assert witness.ok and len(witness.beta_poly) == degree + 1
+        y_norm = witness.normal_form.triple.y
+        full, power = [witness.normal_form.beta], y_norm
+        for j in range(1, M.dim + 1):
+            image = mat_vec(M.iso, power)
+            full.append(M.reduce_mod_f0(tuple(-v / factorial(j) for v in image)))
+            power = mat_vec(M.N, power)
+        while all(v == 0 for v in full[-1]):
+            full.pop()
+        assert witness.beta_poly == tuple(full)
+    # a nonzero N^dim y shows N is not nilpotent
+    with pytest.raises(PreconditionError, match="not nilpotent"):
+        synderi_check(module(p, [[q]], [[1]], [-2]), StTriple((F(0),), (F(1),), (F(0),)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ import sys
 
 import vologcalc
 import vologcalc.cli  # noqa: F401 -- Tracer.install wraps entry points in every layer
+from perfbench import gen
 from perfbench.trace import ENTRY_POINTS, Tracer
 from vologcalc import heights
+from vologcalc.fpnmod import module, validate
 from vologcalc.graphs import VertexFn, cycle_graph, graph, solve_poisson
 from vologcalc.padic import UniversalScalar, make_padic
 
@@ -71,6 +73,16 @@ def test_padic_replay_work_follows_the_factor_nonzeros():
         tracer.uninstall()
     assert tracer.calls["linalg.bareiss_solve"] == 1
     assert tracer.ops["padic.scalar_ops"] <= 5 * multipliers + 2 * upper + 4 * 64
+
+
+def test_log_split_modules_are_valid():
+    """fpn-split validates its module, so every module template of the
+    log_split workload must pass validate()."""
+    rng = random.Random(11)
+    for case, dim in gen.FPN_TEMPLATES:
+        mod, _, _ = gen.fpn_module(rng, case, dim, rng.choice((3, 5, 7)))
+        M = module(mod["p"], mod["phi"], mod["N"], mod["weights"], mod["f0"], mod["iso"])
+        assert validate(M) is None, (case, dim)
 
 
 def test_demo_scripts_run():
