@@ -139,8 +139,6 @@ def _rational_cochain(g, obj, what: str) -> Cochain:
 def _cmd_padic_log(args) -> dict:
     p = require_prime(args.p)
     z = make_padic(p, args.num, args.den, _precision(p, args.prec))
-    if z.is_zero:
-        raise PreconditionError("logarithm of zero")
     lg = iwasawa_log(z)
     return {
         "p": args.p,

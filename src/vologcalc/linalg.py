@@ -158,14 +158,8 @@ def is_invertible(matrix) -> bool:
 
 
 def mat_vec(matrix, vec):
-    return tuple(_dot(row, vec) for row in matrix)
-
-
-def _dot(row, vec):
-    acc = row[0] * vec[0]
-    for j in range(1, len(vec)):
-        acc = acc + row[j] * vec[j]
-    return acc
+    """matrix vec over Fraction, skipping zero entries as `mat_mul` does."""
+    return tuple(sum((x * v for x, v in zip(row, vec) if x), Fraction(0)) for row in matrix)
 
 
 def mat_mul(a, b):

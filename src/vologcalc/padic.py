@@ -7,7 +7,9 @@ fixed to p throughout). The Iwasawa logarithm of z decomposes as
     log(z) = log(<u>) + v(z) * L,      u = z / p^v(z),
 
 with <u> the 1-unit part of u after splitting off the Teichmueller root of
-unity. Differentiating in L and evaluating at L = 0 therefore recovers the
+unity. log(<u>) is computed as log(u^(p-1)) / (p-1), so no root of unity is
+ever formed, and the series is bounded in integers: no float enters.
+Differentiating in L and evaluating at L = 0 therefore recovers the
 valuation v(z) exactly; that identity is the backbone of everything downstream.
 
 Values are immutable; every operation returns a fresh object and tracks
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import LambdaDegreeOverflow, PreconditionError
 from .jsonutil import int_from_json, items, member, members
@@ -121,14 +124,7 @@ class PadicNumber:
             return None
         if rel_prec is not None:
             return from_fraction(self.p, other, rel_prec)
-        if other == 0:
-            return PadicNumber.zero(self.p, self.prec)
-        v = _vp(other.numerator, self.p) - _vp(other.denominator, self.p)
-        rel = abs_prec - v
-        if rel <= 0:
-            # negligible at this absolute precision
-            return PadicNumber.zero(self.p, max(1, abs_prec))
-        return from_fraction(self.p, other, rel)
+        return from_fraction_abs(self.p, other, abs_prec)
 
     # -- ring operations ------------------------------------------------------
 
@@ -165,11 +161,9 @@ class PadicNumber:
         return PadicNumber(self.p, self.val, self.p**self.prec - self.unit, self.prec)
 
     def __sub__(self, other):
-        ref = self.prec if self.is_zero else self.abs_prec
-        other = self._coerce(other, abs_prec=ref)
-        if other is None:
-            return NotImplemented
-        return self.__add__(-other)
+        if isinstance(other, (PadicNumber, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -282,8 +276,6 @@ def make_padic(p: int, numerator: int, denominator: int, precision: int) -> Padi
         raise PreconditionError("zero denominator")
     if precision < 1:
         raise PreconditionError("precision must be at least 1")
-    if numerator == 0:
-        return PadicNumber.zero(p, precision)
     return from_fraction(p, Fraction(numerator, denominator), precision)
 
 
@@ -373,16 +365,16 @@ class UniversalScalar:
             )
         return None
 
+    def _padded(self, other: "UniversalScalar"):
+        """Coefficient pairs of self and other, the shorter padded with zeros."""
+        return zip_longest(self.coeffs, other.coeffs, fillvalue=PadicNumber.zero(self.p, 1))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = PadicNumber.zero(self.p, 1)
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
         return UniversalScalar.of(
-            [x + y for x, y in zip(a, b)], min(self.cap, other.cap)
+            [x + y for x, y in self._padded(other)], min(self.cap, other.cap)
         )
 
     def __radd__(self, other):
@@ -444,11 +436,7 @@ class UniversalScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = PadicNumber.zero(self.p, 1)
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return all(x == y for x, y in zip(a, b))
+        return all(x == y for x, y in self._padded(other))
 
     __hash__ = None
 
@@ -494,18 +482,14 @@ def lambda_scalar(p: int, prec: int = DEFAULT_PRECISION, cap: int = DEFAULT_LAMB
     )
 
 
-def _teichmuller(p: int, unit: int, prec: int) -> int:
-    """The (p-1)-st root of unity congruent to `unit` mod p, mod p^prec."""
-    if p == 2:
-        return 1
-    return pow(unit, p ** (prec - 1), p**prec)
-
-
 def _one_unit_log(p: int, one_unit: int, abs_prec: int) -> PadicNumber:
     """log of a 1-unit via the alternating series, exact mod p^abs_prec.
 
-    Truncation: the k-th term x^k/k has valuation >= k*v(x) - v_p(k); since
-    v_p(k) <= log_p(k) the tail past the chosen k_stop sits above abs_prec.
+    Truncation: the k-th term x^k/k has valuation >= k*v(x) - v_p(k) >=
+    k*v(x) - floor(log2(k)), since p^v_p(k) <= k and p >= 2. With v(x) >= 1
+    this bound does not decrease in k, so the series stops at the first k
+    whose next term already has the bound >= abs_prec; floor(log2(k)) is
+    k.bit_length() - 1, so the test is in integers.
     Representative error in x (known mod p^abs_prec) perturbs term k by
     valuation >= abs_prec + (k-1)*v(x) - v_p(k) >= abs_prec, so summing exact
     fractions of the representative is sound.
@@ -515,7 +499,7 @@ def _one_unit_log(p: int, one_unit: int, abs_prec: int) -> PadicNumber:
         return PadicNumber.zero(p, abs_prec)
     vx = _vp(x, p)
     k_stop = 1
-    while k_stop * vx - math.log(k_stop + 1, p) < abs_prec + 1:
+    while (k_stop + 1) * vx - (k_stop + 1).bit_length() + 1 < abs_prec:
         k_stop += 1
     total = Fraction(0)
     power = 1
@@ -529,18 +513,18 @@ def _one_unit_log(p: int, one_unit: int, abs_prec: int) -> PadicNumber:
 def iwasawa_log(z: PadicNumber, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScalar:
     """Universal-branch logarithm: log(<u>) + v(z) * L for z = p^v(z) u.
 
-    The Teichmueller root of unity is split off (its log is 0), the 1-unit
-    series is summed to the working precision, and the branch dependence sits
-    entirely in the exact degree-1 coefficient v(z).
+    u = w<u> with w a (p-1)-st root of unity, so u^(p-1) = <u>^(p-1) is a
+    1-unit. log is a homomorphism on 1-units, hence log(<u>) =
+    log(u^(p-1)) / (p-1); p - 1 is a unit, so the division keeps every digit
+    (for p = 2 it is log(u) itself). The 1-unit series is summed to the
+    working precision, and the branch dependence sits entirely in the exact
+    degree-1 coefficient v(z).
     """
     if z.is_zero:
         raise PreconditionError("logarithm of zero")
-    constant = _one_unit_log(
-        z.p, z.unit * pow(_teichmuller(z.p, z.unit, z.prec), -1, z.p**z.prec) % z.p**z.prec, z.prec
-    )
-    return UniversalScalar.of(
-        [constant, make_padic(z.p, z.val, 1, z.prec)], cap
-    )
+    p, prec = z.p, z.prec
+    constant = _one_unit_log(p, pow(z.unit, p - 1, p**prec), prec) / (p - 1)
+    return UniversalScalar.of([constant, make_padic(p, z.val, 1, prec)], cap)
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +539,6 @@ class PadicContext:
     p: int
     prec: int = DEFAULT_PRECISION
     lambda_cap: int = DEFAULT_LAMBDA_CAP
-
-    def padic(self, num: int, den: int = 1) -> PadicNumber:
-        return make_padic(self.p, num, den, self.prec)
 
     def zero(self) -> PadicNumber:
         return PadicNumber.zero(self.p, self.prec)

@@ -9,9 +9,23 @@ precision) of that solver to the original order of operations.
 `validate_reference` is the Frobenius-monodromy module check as first
 written: it tests nilpotency by powers of N and invertibility of the whole
 Frobenius matrix, which the library infers from the weight checks.
+`iwasawa_log_reference` is the logarithm as first written: it divides the
+unit by its Teichmueller root of unity, a p^(prec-1) power mod p^prec, and
+bounds the Fraction series with a float logarithm.
 """
 
+import math
 from fractions import Fraction
+
+from vologcalc.errors import PreconditionError
+from vologcalc.padic import (
+    DEFAULT_LAMBDA_CAP,
+    PadicNumber,
+    UniversalScalar,
+    _vp,
+    from_fraction_abs,
+    make_padic,
+)
 
 
 def laplacian_matrix(g):
@@ -203,3 +217,52 @@ def validate_reference(M):
     if rank_oracle(M.iso) != n:
         return "comparison map is singular"
     return None
+
+
+def _teichmuller(p: int, unit: int, prec: int) -> int:
+    """The (p-1)-st root of unity congruent to `unit` mod p, mod p^prec."""
+    if p == 2:
+        return 1
+    return pow(unit, p ** (prec - 1), p**prec)
+
+
+def _one_unit_log(p: int, one_unit: int, abs_prec: int) -> PadicNumber:
+    """log of a 1-unit via the alternating series, exact mod p^abs_prec.
+
+    Truncation: the k-th term x^k/k has valuation >= k*v(x) - v_p(k); since
+    v_p(k) <= log_p(k) the tail past the chosen k_stop sits above abs_prec.
+    Representative error in x (known mod p^abs_prec) perturbs term k by
+    valuation >= abs_prec + (k-1)*v(x) - v_p(k) >= abs_prec, so summing exact
+    fractions of the representative is sound.
+    """
+    x = (one_unit - 1) % p**abs_prec
+    if x == 0:
+        return PadicNumber.zero(p, abs_prec)
+    vx = _vp(x, p)
+    k_stop = 1
+    while k_stop * vx - math.log(k_stop + 1, p) < abs_prec + 1:
+        k_stop += 1
+    total = Fraction(0)
+    power = 1
+    for k in range(1, k_stop + 1):
+        power *= x
+        term = Fraction(power, k)
+        total += term if k % 2 == 1 else -term
+    return from_fraction_abs(p, total, abs_prec)
+
+
+def iwasawa_log_reference(z: PadicNumber, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScalar:
+    """Universal-branch logarithm: log(<u>) + v(z) * L for z = p^v(z) u.
+
+    The Teichmueller root of unity is split off (its log is 0), the 1-unit
+    series is summed to the working precision, and the branch dependence sits
+    entirely in the exact degree-1 coefficient v(z).
+    """
+    if z.is_zero:
+        raise PreconditionError("logarithm of zero")
+    constant = _one_unit_log(
+        z.p, z.unit * pow(_teichmuller(z.p, z.unit, z.prec), -1, z.p**z.prec) % z.p**z.prec, z.prec
+    )
+    return UniversalScalar.of(
+        [constant, make_padic(z.p, z.val, 1, z.prec)], cap
+    )

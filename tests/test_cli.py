@@ -48,6 +48,14 @@ def test_padic_log_example(capsys):
     assert payload["lambda_coeff"] == 1
 
 
+def test_padic_log_of_zero_exits_3(capsys):
+    code, out = run_cli(["padic-log", "--p", "5", "--num", "0"], capsys)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": {"type": "precondition", "message": "logarithm of zero"}
+    }
+
+
 def test_padic_log_env_precision(capsys):
     code, out = run_cli(
         ["padic-log", "--p", "5", "--num", "3", "--den", "1"],

@@ -26,6 +26,8 @@ from vologcalc.padic import (
     scalar_to_json,
 )
 
+from .oracles import iwasawa_log_reference
+
 PRIMES = [2, 3, 5, 7]
 
 
@@ -142,6 +144,25 @@ def test_iwasawa_log_examples():
 def test_iwasawa_log_zero_rejected():
     with pytest.raises(PreconditionError):
         iwasawa_log(PadicNumber.zero(5, 4))
+
+
+def test_iwasawa_log_matches_the_teichmuller_reference():
+    """log(<u>) as log(u^(p-1))/(p-1) with an integer series bound gives the
+    bytes of the Teichmueller split with a float bound: 1-units 1 +- p^e, the
+    root of unity -1 and seeded random units, at every valuation -3..3."""
+    rng = random.Random(13)
+    cases = []
+    for p in (2, 3, 5, 7, 101, 10007):
+        for prec in (1, 2, 3, 5, 20, 60):
+            units = [-1] + [1 + s * p**e for e in (1, 2, 3) for s in (1, -1)]
+            units += [rng.randrange(1, p**prec) for _ in range(2)]
+            for val in range(-3, 4):
+                cases += [(p, Fraction(u) * Fraction(p) ** val, prec) for u in units if u % p]
+    cases += [(2, Fraction(7, 3), 200), (3, Fraction(-11, 2), 200), (101, Fraction(7, 3), 200)]
+    for p, q, prec in cases:
+        z = make_padic(p, q.numerator, q.denominator, prec)
+        got, want = scalar_to_json(iwasawa_log(z)), scalar_to_json(iwasawa_log_reference(z))
+        assert got == want, (p, q, prec)
 
 
 def test_derive_at_zero_examples():

@@ -1,5 +1,7 @@
-"""The benchmark's traced entry points and the demo scripts still work."""
+"""The benchmark's traced entry points and the demo scripts still work, and
+the package holds no float."""
 
+import ast
 import importlib
 import pathlib
 import random
@@ -83,6 +85,29 @@ def test_log_split_modules_are_valid():
         mod, _, _ = gen.fpn_module(rng, case, dim, rng.choice((3, 5, 7)))
         M = module(mod["p"], mod["phi"], mod["N"], mod["weights"], mod["f0"], mod["iso"])
         assert validate(M) is None, (case, dim)
+
+
+# Float-valued math names that must not reach the exact core. math.inf stays
+# allowed: it is the sentinel valuation and absolute precision of the exact
+# zero, compared with integers and never computed with.
+FLOAT_MATH = {"log", "log2", "log10", "log1p", "sqrt", "exp", "expm1", "pow", "e", "pi", "nan"}
+
+
+def test_no_float_in_the_package():
+    found = []
+    for path in sorted((ROOT / "src" / "vologcalc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} float literal {node.value!r}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                found.append(f"{where} float(...)")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "math" and node.attr in FLOAT_MATH):
+                found.append(f"{where} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where} from math import {a.name}" for a in node.names if a.name in FLOAT_MATH]
+    assert not found, found
 
 
 def test_demo_scripts_run():
