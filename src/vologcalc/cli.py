@@ -110,13 +110,10 @@ def _keyed_by(ids, values: dict, what: str, kind: str) -> dict:
 
 
 def _resolve_anchor(g, anchor):
-    """The vertex named by `anchor` (the first vertex if None)."""
-    if anchor is None:
-        return g.vertices[0]
-    lookup = {str(v): v for v in g.vertices}
-    if str(anchor) not in lookup:
-        raise PreconditionError(f"anchor {anchor!r} is not a vertex")
-    return lookup[str(anchor)]
+    """The vertex whose str is str(anchor); the graph decides the rest."""
+    if anchor is not None:
+        anchor = {str(v): v for v in g.vertices}.get(str(anchor), anchor)
+    return g.resolve_anchor(anchor)
 
 
 def _fracs(fn) -> dict:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import PreconditionError
-from .jsonutil import frac_from_json, int_from_json, items, member
+from .jsonutil import frac_from_json, int_from_json, items, member, to_fraction
 from .linalg import (
     gauss_solve,
     identity,
@@ -42,12 +42,12 @@ from .linalg import (
 from .padic import iwasawa_log, make_padic, require_prime
 
 
-def _frac_matrix(rows):
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
 def _frac_vector(v):
-    return tuple(Fraction(x) if isinstance(x, (int, str)) else x for x in v)
+    return tuple(map(to_fraction, v))
+
+
+def _frac_matrix(rows):
+    return tuple(map(_frac_vector, rows))
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def module(p, phi, N, weights, f0=(), iso=None) -> FpnModule:
         p,
         _frac_matrix(phi),
         _frac_matrix(N),
-        tuple(int(w) for w in weights),
-        tuple(_frac_vector(v) for v in f0),
+        tuple(map(int_from_json, weights)),
+        _frac_matrix(f0),
         iso,
     )
 
@@ -246,7 +246,7 @@ def extension(base: FpnModule, phi, N, iso=None, f0=()) -> FpnExtension:
         _frac_matrix(phi),
         _frac_matrix(N),
         iso,
-        tuple(_frac_vector(v) for v in f0),
+        _frac_matrix(f0),
     )
 
 
@@ -367,7 +367,7 @@ def change_uniformizer_class(t: StTriple, ell, M: FpnModule) -> StTriple:
     """Effect on a triple of moving the comparison map to I o exp(ell N):
     z picks up -sum_{j >= 1} ell^j / j! * I N^{j-1} y; the exponential
     truncates at the nilpotency index, so this is exact."""
-    ell = Fraction(ell)
+    ell = to_fraction(ell)
     z = list(t.z)
     for j, iv in _monodromy_series(M, t.y):
         coeff = ell**j / factorial(j)
@@ -378,7 +378,7 @@ def change_uniformizer_class(t: StTriple, ell, M: FpnModule) -> StTriple:
 def twist_uniformizer(M: FpnModule, ell) -> FpnModule:
     """The same module with the comparison map at the shifted uniformizer:
     column k of I exp(ell N) is sum_{j >= 1} ell^(j-1) / (j-1)! * I N^(j-1) e_k."""
-    ell = Fraction(ell)
+    ell = to_fraction(ell)
     n = M.dim
     columns = []
     for e in identity(n):
@@ -440,7 +440,7 @@ def kummer_module(p: int) -> FpnModule:
 def kummer_extension(p: int, beta, nu: int) -> tuple:
     """Extension encoding an element of valuation nu and logarithm beta,
     with the lifts (A, B) realizing it; feed to ext_to_triple."""
-    beta = Fraction(beta)
+    beta = to_fraction(beta)
     base = kummer_module(p)
     ext = extension(
         base,

@@ -8,12 +8,15 @@ negates it, and the Poisson solver factors it with the anchor's row and
 column deleted. That fraction-free factorization is computed once per anchor
 and held by the graph (`reduced_laplacian_factor`); graphs are immutable, so
 it never goes stale, and every later solve on the same (graph, anchor) only
-replays it. Cochains are antisymmetric edge functions: a value is stored on
-the chosen orientation and the accessor negates on the reversed one.
+replays it. `DualGraph.resolve_anchor` is the one anchor rule (the first
+vertex unless one is named) and `solve_poisson` the one connectivity and
+zero-sum check, for every caller. `VertexFn` and `Cochain` share one
+value-map type. Cochains are antisymmetric edge functions: a value is stored
+on the chosen orientation and the accessor negates on the reversed one.
 Coefficients are duck-typed: rational data is solved by integer-only work
 with exact Fraction results, and anything else with exact +, -, int
-multiples and exact division by int (p-adic numbers, branch-parameter
-polynomials) replays the same elimination.
+multiples, exact division by int and `== 0` true only for zero (p-adic
+numbers, branch-parameter polynomials) replays the same elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .jsonutil import id_from_json, items, member, members
+from .jsonutil import id_from_json, items, member, members, to_fraction
 from .linalg import bareiss_factor, bareiss_solve
 
 
@@ -116,6 +119,15 @@ class DualGraph:
             self._factors[anchor] = factor
         return factor
 
+    def resolve_anchor(self, anchor=None):
+        """The vertex that pins an anchored solve: the first vertex for None,
+        else `anchor` itself, which must be a vertex."""
+        if anchor is None:
+            return self.vertices[0]
+        if anchor not in self.vertices:
+            raise PreconditionError(f"anchor {anchor!r} is not a vertex")
+        return anchor
+
     def require_connected(self):
         if not self.connected:
             raise PreconditionError("graph is not connected")
@@ -138,84 +150,69 @@ def path_graph(n: int) -> DualGraph:
 
 
 @dataclass(frozen=True)
-class VertexFn:
-    """Coefficient-valued function on all vertices."""
+class _ValueMap:
+    """Coefficient-valued map on a graph's vertices or edge ids. A subclass
+    names its key set (`_keys`, in graph order) and its two error messages;
+    arithmetic and equality are shared."""
 
     graph: DualGraph
     values: dict
 
     def __post_init__(self):
-        if set(self.values) != set(self.graph.vertices):
-            raise PreconditionError("vertex function must be supported on all of V")
+        if set(self.values) != set(self._keys()):
+            raise PreconditionError(self._support_error)
+
+    def _same_graph(self, other):
+        if self.graph is not other.graph and self.graph != other.graph:
+            raise PreconditionError(self._graph_error)
+
+    def __add__(self, other):
+        self._same_graph(other)
+        return type(self)(self.graph, {k: self.values[k] + other.values[k] for k in self.values})
+
+    def __sub__(self, other):
+        self._same_graph(other)
+        return type(self)(self.graph, {k: self.values[k] - other.values[k] for k in self.values})
+
+    def __mul__(self, scalar):
+        return type(self)(self.graph, {k: self.values[k] * scalar for k in self.values})
+
+    def map_values(self, fn):
+        return type(self)(self.graph, {k: fn(x) for k, x in self.values.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and all(
+            self.values[k] == other.values[k] for k in self._keys()
+        )
+
+    __hash__ = None
+
+
+class VertexFn(_ValueMap):
+    """Coefficient-valued function on all vertices."""
+
+    _support_error = "vertex function must be supported on all of V"
+    _graph_error = "vertex functions live on different graphs"
+
+    def _keys(self):
+        return self.graph.vertices
 
     def __call__(self, v):
         return self.values[v]
 
-    def __add__(self, other):
-        self._same_graph(other)
-        return VertexFn(self.graph, {v: self.values[v] + other.values[v] for v in self.values})
 
-    def __sub__(self, other):
-        self._same_graph(other)
-        return VertexFn(self.graph, {v: self.values[v] - other.values[v] for v in self.values})
-
-    def __mul__(self, scalar):
-        return VertexFn(self.graph, {v: self.values[v] * scalar for v in self.values})
-
-    def _same_graph(self, other):
-        if self.graph is not other.graph and self.graph != other.graph:
-            raise PreconditionError("vertex functions live on different graphs")
-
-    def map_values(self, fn) -> "VertexFn":
-        return VertexFn(self.graph, {v: fn(x) for v, x in self.values.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, VertexFn) and all(
-            self.values[v] == other.values[v] for v in self.graph.vertices
-        )
-
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_ValueMap):
     """Antisymmetric edge function; stored on the graph's chosen orientations."""
 
-    graph: DualGraph
-    values: dict
+    _support_error = "cochain must be supported on all of E"
+    _graph_error = "cochains live on different graphs"
 
-    def __post_init__(self):
-        if set(self.values) != {e.id for e in self.graph.edges}:
-            raise PreconditionError("cochain must be supported on all of E")
+    def _keys(self):
+        return [e.id for e in self.graph.edges]
 
     def value(self, edge_id, sign=1):
         v = self.values[edge_id]
         return v if sign == 1 else -v
-
-    def _same_graph(self, other):
-        if self.graph is not other.graph and self.graph != other.graph:
-            raise PreconditionError("cochains live on different graphs")
-
-    def __add__(self, other):
-        self._same_graph(other)
-        return Cochain(self.graph, {k: self.values[k] + other.values[k] for k in self.values})
-
-    def __sub__(self, other):
-        self._same_graph(other)
-        return Cochain(self.graph, {k: self.values[k] - other.values[k] for k in self.values})
-
-    def __mul__(self, scalar):
-        return Cochain(self.graph, {k: self.values[k] * scalar for k in self.values})
-
-    def map_values(self, fn) -> "Cochain":
-        return Cochain(self.graph, {k: fn(v) for k, v in self.values.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, Cochain) and all(
-            self.values[e.id] == other.values[e.id] for e in self.graph.edges
-        )
-
-    __hash__ = None
 
 
 def d(f: VertexFn) -> Cochain:
@@ -248,13 +245,6 @@ def laplacian(f: VertexFn) -> VertexFn:
     return VertexFn(g, out)
 
 
-def _is_zero(x) -> bool:
-    z = getattr(x, "is_zero", None)
-    if z is not None:
-        return z
-    return x == 0
-
-
 def solve_poisson(g_fn: VertexFn, anchor=None) -> VertexFn:
     """Unique f with laplacian(f) = g and f(anchor) = 0.
 
@@ -266,13 +256,11 @@ def solve_poisson(g_fn: VertexFn, anchor=None) -> VertexFn:
     """
     g = g_fn.graph
     g.require_connected()
-    anchor = g.vertices[0] if anchor is None else anchor
-    if anchor not in g.vertices:
-        raise PreconditionError(f"anchor {anchor!r} is not a vertex")
+    anchor = g.resolve_anchor(anchor)
     total = 0
     for v in g.vertices:
         total = total + g_fn.values[v]
-    if not _is_zero(total):
+    if total != 0:
         raise PreconditionError("Poisson data does not sum to zero over V")
     zero = g_fn.values[anchor] - g_fn.values[anchor]
     if type(zero) is int:
@@ -315,11 +303,11 @@ def vertex_inner(f1: VertexFn, f2: VertexFn):
 
 
 def rational_vertex_fn(g: DualGraph, values: dict) -> VertexFn:
-    return VertexFn(g, {v: Fraction(values[v]) for v in g.vertices})
+    return VertexFn(g, {v: to_fraction(values[v]) for v in g.vertices})
 
 
 def rational_cochain(g: DualGraph, values: dict) -> Cochain:
-    return Cochain(g, {e.id: Fraction(values[e.id]) for e in g.edges})
+    return Cochain(g, {e.id: to_fraction(values[e.id]) for e in g.edges})
 
 
 # -- JSON ------------------------------------------------------------------

@@ -11,6 +11,9 @@ on v), anchored. The pairing is then
     height(D, E) = horizontal(D, E) + sum_v a(v) * deg_{U_v}(E),
 
 an exact rational, independent of the anchor because E has degree zero.
+The anchor (the first vertex unless one is named) and the connectivity of
+the graph are decided in `graphs`; `intersection_matrix`, which solves
+nothing, checks connectivity itself.
 The normalization is coefficient 1 on the intersection product; no global
 trace or character weighting is applied here.
 """
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .graphs import DualGraph, VertexFn, solve_poisson
-from .jsonutil import frac_from_json, id_from_json, int_from_json, items, member
+from .jsonutil import frac_from_json, id_from_json, int_from_json, items, member, to_fraction
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class DivisorPlacement:
         object.__setattr__(
             self,
             "horizontal_pairings",
-            {k: Fraction(v) for k, v in self.horizontal_pairings.items()},
+            {k: to_fraction(v) for k, v in self.horizontal_pairings.items()},
         )
 
     def point(self, label: str) -> DivisorPoint:
@@ -76,7 +79,7 @@ class DivisorPlacement:
 
 def divisor(points, horizontal_pairings=None) -> DivisorPlacement:
     return DivisorPlacement(
-        tuple(DivisorPoint(l, m, c) for l, m, c in points),
+        tuple(DivisorPoint(l, int_from_json(m), c) for l, m, c in points),
         dict(horizontal_pairings or {}),
     )
 
@@ -119,8 +122,7 @@ def local_height_report(
     graph: DualGraph, D: DivisorPlacement, E: DivisorPlacement, anchor=None
 ) -> dict:
     """Height with its horizontal/vertical breakdown, for inspection and the CLI."""
-    graph.require_connected()
-    anchor = graph.vertices[0] if anchor is None else anchor
+    anchor = graph.resolve_anchor(anchor)
     horizontal = _horizontal_total(graph, D, E)
     a = vertical_correction(graph, D, anchor)
     deg_e = E.component_degrees(graph)
@@ -153,7 +155,14 @@ def _pairing_from_json(obj) -> tuple:
 
 
 def divisor_from_json(obj) -> DivisorPlacement:
-    return divisor(
-        member(obj, "points", items, _point_from_json),
-        dict(member(obj, "horizontal_pairings", items, _pairing_from_json, default=[])),
-    )
+    points = member(obj, "points", items, _point_from_json)
+    pairings = {}
+    listed = member(obj, "horizontal_pairings", items, _pairing_from_json, default=[])
+    for index, (labels, value) in enumerate(listed):
+        if labels in pairings:
+            raise PreconditionError(
+                f"horizontal pairing {labels[0]!r}/{labels[1]!r} is listed twice",
+                ("horizontal_pairings", index),
+            )
+        pairings[labels] = value
+    return divisor(points, pairings)

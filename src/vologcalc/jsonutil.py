@@ -5,10 +5,13 @@ Input contract: an integer is a JSON integer or an integer string such as
 (vertex, edge or point label) is a JSON string or integer; a float or a
 boolean is never a number. A wrong JSON type, a list of the wrong length or a
 missing key raises ParseError, and a well-typed value out of range raises
-PreconditionError. Decoders compose the readers below; `member`, `items` and
-`entries` add their key or index to the path of an error raised inside them,
-so every message names the JSON path (``field 'unit' of edges[0].raw_c``)
-and a path costs nothing until something fails.
+PreconditionError. Library constructors read their numbers under the same
+contract, rationals through `to_fraction` (which also takes a Fraction) and
+integers through `int_from_json`. Decoders compose the readers below;
+`member`, `items` and `entries` add their key or index to the path of an
+error raised inside them, so every message names the JSON path
+(``field 'unit' of edges[0].raw_c``) and a path costs nothing until
+something fails.
 """
 
 from __future__ import annotations
@@ -122,6 +125,16 @@ def frac_from_json(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"not a rational number: {value[:40]!r}") from exc
+
+
+def to_fraction(value) -> Fraction:
+    """A rational handed to a library constructor: a Fraction, or what
+    `frac_from_json` reads (an integer that is not a bool, or a rational
+    string). A float or a bool raises ParseError, so no binary fraction is
+    ever taken as exact."""
+    if isinstance(value, Fraction):
+        return value
+    return frac_from_json(value)
 
 
 def id_from_json(value):

@@ -3,8 +3,10 @@
 A 1-form is written against dz/z, so an AnnulusForm is the coefficient family
 a_k of sum a_k z^k dz/z on the window [-M, M]; its residue is a_0.
 Primitives live in LogLaurentFunction: finitely many monomials z^k log(z)^n
-with branch-polynomial coefficients. Only the formal series structure is
-kept; no radii arithmetic (the annulus is normalized to |pi| < |z| < 1).
+with branch-polynomial coefficients and n at most the constant LOG_CAP = 4
+(a higher degree raises LogDegreeOverflow). Only the formal series
+structure is kept; no radii arithmetic (the annulus is normalized to
+|pi| < |z| < 1).
 
 The extended residue is defined by exactness reduction: z^k log^n z dz/z is
 exact for n >= 1 (reduce via d(z^k log^n z / k), or d(log^{n+1} z/(n+1)) when
@@ -15,7 +17,7 @@ the local index <F, G> = res(F dG) antisymmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LogDegreeOverflow, PreconditionError, WindowTruncation
@@ -23,7 +25,12 @@ from .jsonutil import entries, int_from_json, member
 from .padic import PadicContext, UniversalScalar, max_exponent, scalar_from_json
 
 DEFAULT_WINDOW = 12
-DEFAULT_LOG_CAP = 4
+LOG_CAP = 4
+
+
+def _accumulate(out: dict, key, c) -> None:
+    """out[key] += c, where an absent key counts as zero."""
+    out[key] = out[key] + c if key in out else c
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,7 @@ class AnnulusForm:
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, a in other.coeffs.items():
-            out[k] = out[k] + a if k in out else a
+            _accumulate(out, k, a)
         return AnnulusForm(self.ctx, out, min(self.window, other.window))
 
     def __eq__(self, other):
@@ -81,7 +88,6 @@ class LogLaurentFunction:
     ctx: PadicContext
     terms: dict
     window: int = DEFAULT_WINDOW
-    log_cap: int = DEFAULT_LOG_CAP
     truncated: bool = False
 
     def __post_init__(self):
@@ -91,8 +97,8 @@ class LogLaurentFunction:
                 raise PreconditionError(
                     f"term z^{k} outside the window [-{self.window}, {self.window}]"
                 )
-            if n > self.log_cap:
-                raise LogDegreeOverflow(n, self.log_cap)
+            if n > LOG_CAP:
+                raise LogDegreeOverflow(n, LOG_CAP)
             if n < 0:
                 raise PreconditionError("negative log-degree")
             if c.p != self.ctx.p:
@@ -105,29 +111,22 @@ class LogLaurentFunction:
         return self.terms.get((k, n), self.ctx.zero_scalar())
 
     def _config(self, other):
-        if self.window != other.window or self.log_cap != other.log_cap:
-            raise PreconditionError("mismatched window or log-cap configuration")
-        return min
+        if self.window != other.window:
+            raise PreconditionError("mismatched window configuration")
 
     def __add__(self, other):
         self._config(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return LogLaurentFunction(
-            self.ctx, out, self.window, self.log_cap, self.truncated or other.truncated
-        )
+            _accumulate(out, key, c)
+        return LogLaurentFunction(self.ctx, out, self.window, self.truncated or other.truncated)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, s) -> "LogLaurentFunction":
         return LogLaurentFunction(
-            self.ctx,
-            {key: c * s for key, c in self.terms.items()},
-            self.window,
-            self.log_cap,
-            self.truncated,
+            self.ctx, {key: c * s for key, c in self.terms.items()}, self.window, self.truncated
         )
 
     def __mul__(self, other):
@@ -140,16 +139,11 @@ class LogLaurentFunction:
                 if abs(k) > self.window:
                     dropped = True
                     continue
-                if n > self.log_cap:
-                    raise LogDegreeOverflow(n, self.log_cap)
-                prod = c1 * c2
-                out[(k, n)] = out[(k, n)] + prod if (k, n) in out else prod
+                if n > LOG_CAP:
+                    raise LogDegreeOverflow(n, LOG_CAP)
+                _accumulate(out, (k, n), c1 * c2)
         return LogLaurentFunction(
-            self.ctx,
-            out,
-            self.window,
-            self.log_cap,
-            self.truncated or other.truncated or dropped,
+            self.ctx, out, self.window, self.truncated or other.truncated or dropped
         )
 
     def __eq__(self, other):
@@ -165,7 +159,7 @@ class LogLaurentFunction:
         return not self.terms
 
 
-def integrate(omega: AnnulusForm, constant: UniversalScalar, window=None, log_cap=DEFAULT_LOG_CAP) -> LogLaurentFunction:
+def integrate(omega: AnnulusForm, constant: UniversalScalar, window=None) -> LogLaurentFunction:
     """Term-by-term primitive: sum_{k != 0} (a_k / k) z^k + a_0 log z + C.
 
     Dividing a_k by k costs v_p(k) digits of absolute precision in that
@@ -180,25 +174,18 @@ def integrate(omega: AnnulusForm, constant: UniversalScalar, window=None, log_ca
             terms[(k, 0)] = a / k
     if not constant.is_zero:
         terms[(0, 0)] = terms.get((0, 0), omega.ctx.zero_scalar()) + constant
-    return LogLaurentFunction(omega.ctx, terms, window, log_cap)
+    return LogLaurentFunction(omega.ctx, terms, window)
 
 
 def differential(f: LogLaurentFunction) -> LogLaurentFunction:
     """dF divided by dz/z: z^k log^n z contributes k z^k log^n + n z^k log^{n-1}."""
     out = {}
-
-    def bump(key, c):
-        if key in out:
-            out[key] = out[key] + c
-        else:
-            out[key] = c
-
     for (k, n), c in f.terms.items():
         if k != 0:
-            bump((k, n), c * k)
+            _accumulate(out, (k, n), c * k)
         if n != 0:
-            bump((k, n - 1), c * n)
-    return LogLaurentFunction(f.ctx, out, f.window, f.log_cap, f.truncated)
+            _accumulate(out, (k, n - 1), c * n)
+    return LogLaurentFunction(f.ctx, out, f.window, f.truncated)
 
 
 def as_form(f: LogLaurentFunction) -> AnnulusForm:
@@ -211,10 +198,8 @@ def as_form(f: LogLaurentFunction) -> AnnulusForm:
     return AnnulusForm(f.ctx, coeffs, f.window)
 
 
-def form_as_function(omega: AnnulusForm, log_cap=DEFAULT_LOG_CAP) -> LogLaurentFunction:
-    return LogLaurentFunction(
-        omega.ctx, {(k, 0): a for k, a in omega.coeffs.items()}, omega.window, log_cap
-    )
+def form_as_function(omega: AnnulusForm) -> LogLaurentFunction:
+    return LogLaurentFunction(omega.ctx, {(k, 0): a for k, a in omega.coeffs.items()}, omega.window)
 
 
 def extended_residue(eta: LogLaurentFunction) -> UniversalScalar:
@@ -234,9 +219,7 @@ def extended_residue(eta: LogLaurentFunction) -> UniversalScalar:
         c = work.pop(key)
         if k == 0:
             continue  # d(log^{n+1} z / (n+1)) - exact, no residue
-        lower = (k, n - 1)
-        adj = c * Fraction(-n, k)
-        work[lower] = work[lower] + adj if lower in work else adj
+        _accumulate(work, (k, n - 1), c * Fraction(-n, k))
     return work.get((0, 0), eta.ctx.zero_scalar())
 
 

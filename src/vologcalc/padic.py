@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import LambdaDegreeOverflow, PreconditionError
-from .jsonutil import int_from_json, items, member, members
+from .jsonutil import int_from_json, items, member, members, to_fraction
 
 DEFAULT_PRECISION = 20
 DEFAULT_LAMBDA_CAP = 4
@@ -546,7 +546,7 @@ class PadicContext:
     def scalar(self, *coeff_fractions) -> UniversalScalar:
         """Scalar from exact rational coefficients, constant term first."""
         return UniversalScalar.of(
-            [from_fraction(self.p, Fraction(c), self.prec) for c in coeff_fractions],
+            [from_fraction(self.p, to_fraction(c), self.prec) for c in coeff_fractions],
             self.lambda_cap,
         )
 

@@ -16,6 +16,9 @@ laplacian(gamma') = -d_star(residue cochain).
 
 All solves are anchored: the additive constant that a primitive is only
 defined up to is fixed by making the correction vanish at the anchor vertex.
+The anchor (the first vertex unless one is named) and the connectivity of
+the graph are decided in `graphs`, by `DualGraph.resolve_anchor` and
+`solve_poisson`.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .graphs import Cochain, DualGraph, VertexFn, d, d_star, harmonic_project, solve_poisson
+from .graphs import Cochain, DualGraph, VertexFn, harmonic_project, solve_poisson
 from .loglaurent import AnnulusForm, cross_annulus_jump, flip_coordinate
 from .padic import PadicContext, UniversalScalar
+
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,11 @@ class LocalColemanData:
     anchor: object = None
 
     def __post_init__(self):
-        ids = {e.edge_id for e in self.edges}
+        ids = set()
+        for e in self.edges:
+            if e.edge_id in ids:
+                raise PreconditionError(f"edge data lists edge {e.edge_id!r} twice")
+            ids.add(e.edge_id)
         expected = {e.id for e in self.graph.edges}
         if ids != expected:
             raise PreconditionError(
@@ -87,20 +96,11 @@ class LocalColemanData:
                         f"edge {e.edge_id!r} carries prime {s.p}, context expects {self.ctx.p}"
                     )
 
-    def _by_id(self):
-        return {e.edge_id: e for e in self.edges}
-
     def raw_cochain(self) -> Cochain:
-        by_id = self._by_id()
-        return Cochain(
-            self.graph, {eid: by_id[eid].raw_value() for eid in by_id}
-        )
+        return Cochain(self.graph, {e.edge_id: e.raw_value() for e in self.edges})
 
     def residue_cochain(self) -> Cochain:
-        by_id = self._by_id()
-        return Cochain(
-            self.graph, {eid: by_id[eid].residue_value(self.ctx) for eid in by_id}
-        )
+        return Cochain(self.graph, {e.edge_id: e.residue_value(self.ctx) for e in self.edges})
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def assemble(data: LocalColemanData) -> AssembledIntegral:
     integral; gamma corrects the arbitrary per-vertex constants of
     integration.
     """
-    data.graph.require_connected()
-    anchor = data.anchor if data.anchor is not None else data.graph.vertices[0]
+    anchor = data.graph.resolve_anchor(data.anchor)
     c = data.raw_cochain()
     harmonic, gamma = harmonic_project(c, anchor)
     return AssembledIntegral(gamma, harmonic, anchor, data.ctx)
@@ -153,7 +152,6 @@ def deriter_rhs(
     res_omega: Cochain,
     res_eta: Cochain,
     indices: Cochain,
-    half=Fraction(1, 2),
 ) -> VertexFn:
     """Vertex data of the iterated-integral derivative:
 
@@ -172,7 +170,7 @@ def deriter_rhs(
                 c_eta.value(e.id, sign) * res_omega.value(e.id, sign)
                 - c_omega.value(e.id, sign) * res_eta.value(e.id, sign)
             )
-            acc = acc + pair * half - indices.value(e.id, sign)
+            acc = acc + pair * _HALF - indices.value(e.id, sign)
         out[v] = acc
     return VertexFn(g, out)
 

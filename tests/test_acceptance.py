@@ -277,7 +277,7 @@ def _index_pair(rng, ctx):
         terms[(k, rng.randint(1, 2))] = ctx.scalar(rng.randint(-9, 9))
     if rng.random() < 0.4:
         terms[(0, 2)] = ctx.scalar(rng.randint(-9, 9))
-    return LogLaurentFunction(ctx, terms, 12, 4)
+    return LogLaurentFunction(ctx, terms, 12)
 
 
 def test_criterion_9_local_index_antisymmetry():
@@ -309,8 +309,8 @@ def test_criterion_10_index_branch_derivative():
                 for k in rng.sample([k for k in range(-6, 7) if k], rng.randint(1, 4))
             }
             terms_g[(0, 1)] = ctx.scalar(b)
-            F = LogLaurentFunction(ctx, terms_f, 12, 4)
-            G = LogLaurentFunction(ctx, terms_g, 12, 4)
+            F = LogLaurentFunction(ctx, terms_f, 12)
+            G = LogLaurentFunction(ctx, terms_g, 12)
             assert derive_at_zero(local_index(F, G)) == b
 
 

@@ -339,6 +339,59 @@ def _run_assemble(tmp_path, capsys, job):
     return code, json.loads(out)
 
 
+def test_repeated_keys_in_input_lists_exit_3(tmp_path, capsys):
+    """A repeated edge id or horizontal pairing is rejected, not silently
+    replaced by its last entry."""
+    job = _cycle3_job()
+    again = json.loads(json.dumps(job["edges"][0]))
+    again["raw_c"]["coeffs"][1]["unit"] = "2"
+    job["edges"].append(again)
+    code, out = _run_assemble(tmp_path, capsys, job)
+    assert code == 3
+    assert out["error"]["message"] == "edge data lists edge 'e0' twice"
+
+    D = json.loads((FIXTURES / "divisor_D.json").read_text())
+    D["horizontal_pairings"] = [{"own": "O", "other": "Oprime", "value": v} for v in ("1", "7")]
+    code, out = run_cli(
+        ["height-local", "--graph", str(FIXTURES / "cycle4.json"), "--D",
+         _write(tmp_path, "D.json", D), "--E", str(FIXTURES / "divisor_E.json")],
+        capsys,
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "horizontal_pairings[1]: horizontal pairing 'O'/'Oprime' is listed twice"
+    )
+
+
+def _with_anchor(tmp_path, name, anchor):
+    job = json.loads((FIXTURES / name).read_text())
+    job["anchor"] = anchor
+    return _write(tmp_path, name, job)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["graph-project", "--graph", str(FIXTURES / "cycle3.json"),
+                     "--cochain", str(FIXTURES / "cycle3_cochain.json"), "--anchor", "zz"],
+        lambda tmp: ["volog-ddlog", "--graph", str(FIXTURES / "cycle3.json"),
+                     "--residues", str(FIXTURES / "cycle3_residues.json"), "--anchor", "zz"],
+        lambda tmp: ["height-local", "--graph", str(FIXTURES / "cycle4.json"), "--D",
+                     str(FIXTURES / "divisor_D.json"), "--E", str(FIXTURES / "divisor_E.json"),
+                     "--anchor", "zz"],
+        lambda tmp: ["volog-assemble", "--job", _with_anchor(tmp, "job_assemble_cycle3.json", "zz")],
+        lambda tmp: ["volog-iterated", "--job", _with_anchor(tmp, "job_iterated_3cycle.json", "zz")],
+    ],
+    ids=["graph-project", "volog-ddlog", "height-local", "volog-assemble", "volog-iterated"],
+)
+def test_a_missing_anchor_exits_3_on_every_route(argv, tmp_path, capsys):
+    code, out = run_cli(argv(tmp_path), capsys)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": {"type": "precondition", "message": "anchor 'zz' is not a vertex"}
+    }
+
+
 def test_padic_json_fields_must_be_integers(tmp_path, capsys):
     """A float (or boolean) p-adic field is rejected, never truncated."""
     for field, value in (("unit", 1.5), ("unit", "1.5"), ("val", 0.0), ("prec", 12.9),

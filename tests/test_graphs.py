@@ -22,8 +22,9 @@ from vologcalc.graphs import (
     solve_poisson,
     vertex_inner,
 )
-from vologcalc.heights import intersection_matrix
+from vologcalc.heights import divisor, intersection_matrix, local_height_report
 from vologcalc.padic import PadicContext, UniversalScalar, make_padic, scalar_to_json
+from vologcalc.volog import EdgeLocalData, LocalColemanData, assemble
 
 from .oracles import (
     bareiss_reference,
@@ -182,6 +183,24 @@ def test_solve_poisson_padic_data_matches_one_shot_bareiss():
             pivots = [step[1] for step in g.reduced_laplacian_factor(anchor).steps]
             divisible_pivots += any(pivot % p == 0 for pivot in pivots)
     assert divisible_pivots >= 20
+
+
+def test_one_anchor_rule_for_every_anchored_solve():
+    g3 = cycle_graph(3)
+    assert g3.resolve_anchor() == 0 and g3.resolve_anchor(2) == 2
+    ctx = PadicContext(5, 12)
+    edges = tuple(EdgeLocalData(e.id, raw_c=ctx.scalar(1)) for e in g3.edges)
+    D = divisor([("P", 1, 1), ("O", -1, 0)])
+    routes = (
+        lambda: g3.resolve_anchor("zz"),
+        lambda: solve_poisson(rational_vertex_fn(g3, {0: 1, 1: -1, 2: 0}), "zz"),
+        lambda: local_height_report(g3, D, D, "zz"),
+        lambda: assemble(LocalColemanData(g3, ctx, edges, "zz")),
+    )
+    for route in routes:
+        with pytest.raises(PreconditionError) as info:
+            route()
+        assert str(info.value) == "anchor 'zz' is not a vertex"
 
 
 def test_solve_poisson_rejects_nonzero_sum():

@@ -27,10 +27,8 @@ def form(coeffs, window=12):
     return AnnulusForm(CTX, {k: CTX.scalar(v) for k, v in coeffs.items()}, window)
 
 
-def llf(terms, window=12, log_cap=4):
-    return LogLaurentFunction(
-        CTX, {key: CTX.scalar(v) for key, v in terms.items()}, window, log_cap
-    )
+def llf(terms, window=12):
+    return LogLaurentFunction(CTX, {key: CTX.scalar(v) for key, v in terms.items()}, window)
 
 
 def test_integrate_examples():
@@ -213,9 +211,8 @@ def test_branch_derivative_of_index_is_log_coefficient():
 
 
 def test_log_degree_cap():
-    lg = llf({(0, 2): 1}, log_cap=3)
     with pytest.raises(LogDegreeOverflow):
-        lg * lg
+        llf({(0, 3): 1}) * llf({(0, 2): 1})  # degree 5 > LOG_CAP = 4
     with pytest.raises(PreconditionError):
         llf({(13, 0): 1})
 

@@ -1,21 +1,45 @@
-"""The benchmark's traced entry points and the demo scripts still work, and
-the package holds no float."""
+"""The benchmark's traced entry points and the demo scripts still work, the
+package holds no float and its constructors take none, and each schema
+matches its subcommand's parser and output."""
 
+import argparse
 import ast
+import contextlib
 import importlib
+import io
+import json
 import pathlib
 import random
 import subprocess
 import sys
 
+import pytest
+
 import vologcalc
 import vologcalc.cli  # noqa: F401 -- Tracer.install wraps entry points in every layer
 from perfbench import gen
+from perfbench.run import GOLDEN
 from perfbench.trace import ENTRY_POINTS, Tracer
 from vologcalc import heights
-from vologcalc.fpnmod import module, validate
-from vologcalc.graphs import VertexFn, cycle_graph, graph, solve_poisson
-from vologcalc.padic import UniversalScalar, make_padic
+from vologcalc.errors import ParseError
+from vologcalc.fpnmod import (
+    change_uniformizer_class,
+    ext_to_triple,
+    kummer_extension,
+    kummer_module,
+    module,
+    twist_uniformizer,
+    validate,
+)
+from vologcalc.graphs import (
+    VertexFn,
+    cycle_graph,
+    graph,
+    rational_cochain,
+    rational_vertex_fn,
+    solve_poisson,
+)
+from vologcalc.padic import PadicContext, UniversalScalar, make_padic
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -108,6 +132,74 @@ def test_no_float_in_the_package():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found += [f"{where} from math import {a.name}" for a in node.names if a.name in FLOAT_MATH]
     assert not found, found
+
+
+def _kummer_triple():
+    ext, A, B = kummer_extension(5, 1, 1)
+    return ext_to_triple(ext, A, B)
+
+
+# Each library constructor that takes a rational or an integer, called with
+# the number x in one position.
+CONSTRUCTORS = {
+    "module weights": lambda x: module(5, [[1]], [[0]], [x]),
+    "module phi": lambda x: module(5, [[x]], [[0]], [-2]),
+    "module f0": lambda x: module(5, [[1]], [[0]], [-2], f0=[[x]]),
+    "rational_cochain": lambda x: rational_cochain(cycle_graph(3), {"e0": x, "e1": 0, "e2": 0}),
+    "rational_vertex_fn": lambda x: rational_vertex_fn(cycle_graph(3), {0: x, 1: 0, 2: 0}),
+    "divisor horizontal": lambda x: heights.divisor([("a", 1, 0), ("b", -1, 0)], {("a", "x"): x}),
+    "divisor multiplicity": lambda x: heights.divisor([("a", x, 0), ("b", -1, 0)]),
+    "PadicContext.scalar": lambda x: PadicContext(5).scalar(x),
+    "kummer_extension beta": lambda x: kummer_extension(5, x, 1),
+    "ext_to_triple A": lambda x: ext_to_triple(kummer_extension(5, 1, 1)[0], (x, 1), (1, 1)),
+    "change_uniformizer_class ell": lambda x: change_uniformizer_class(_kummer_triple(), x, kummer_module(5)),
+    "twist_uniformizer ell": lambda x: twist_uniformizer(kummer_module(5), x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_library_constructors_take_no_float_or_bool(name):
+    for value in (0.5, -2.7, True):
+        with pytest.raises(ParseError):
+            CONSTRUCTORS[name](value)
+    CONSTRUCTORS[name](1)  # the same call with an exact number succeeds
+
+
+SCHEMAS = ROOT / "src" / "vologcalc" / "schemas"
+
+
+def _subcommands():
+    parser = vologcalc.cli._build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_schemas_match_the_parser_and_the_outputs():
+    """Each schema lists its subcommand's options (less --schema and
+    --output) as `flags`, and the top-level keys of the command's output,
+    taken from its goldens or, for padic-log, from the README example."""
+    commands = _subcommands()
+    assert sorted(p.stem for p in SCHEMAS.glob("*.json")) == sorted(commands)
+    outputs = {}
+    for argv, name in GOLDEN:
+        outputs.setdefault(argv[0], []).append((ROOT / "fixtures" / "golden" / name).read_text())
+    example = next(
+        line.split()[1:] for line in (ROOT / "README.md").read_text().splitlines()
+        if line.startswith("vologcalc padic-log ")
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert vologcalc.cli.run(example) == 0
+    outputs["padic-log"] = [out.getvalue()]
+    for command, parser in commands.items():
+        schema = json.loads((SCHEMAS / f"{command}.json").read_text())
+        options = {
+            opt for a in parser._actions for opt in a.option_strings if opt.startswith("--")
+        }
+        assert set(schema["flags"]) == options - {"--help", "--schema", "--output"}, command
+        assert outputs[command], command
+        for text in outputs[command]:
+            assert set(schema["output"]) == set(json.loads(text)), command
 
 
 def test_demo_scripts_run():
