@@ -42,30 +42,28 @@ class PrecisionOverflow(ArithmeticError):
     to see what overflowed."""
 
 
-class LambdaDegreeOverflow(PrecisionOverflow):
+class _DegreeOverflow(PrecisionOverflow):
+    """A formal degree exceeded its configured cap; each subclass names the
+    degree in `what`."""
+
+    def __init__(self, degree: int, cap: int):
+        self.degree = degree
+        self.cap = cap
+        super().__init__(f"{self.what} {degree} exceeds the configured cap {cap}")
+
+
+class LambdaDegreeOverflow(_DegreeOverflow):
     """Polynomial degree in the branch parameter exceeded the configured cap."""
 
-    def __init__(self, degree: int, cap: int):
-        self.degree = degree
-        self.cap = cap
-        super().__init__(
-            f"branch-parameter degree {degree} exceeds the configured cap {cap}"
-        )
+    what = "branch-parameter degree"
 
 
-class LogDegreeOverflow(PrecisionOverflow):
+class LogDegreeOverflow(_DegreeOverflow):
     """log(z)-degree of a Laurent term exceeded the configured cap."""
 
-    def __init__(self, degree: int, cap: int):
-        self.degree = degree
-        self.cap = cap
-        super().__init__(f"log-degree {degree} exceeds the configured cap {cap}")
+    what = "log-degree"
 
 
 class WindowTruncation(PrecisionOverflow):
     """An operation cannot vouch for its result because input series were
     already truncated at the Laurent window."""
-
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)

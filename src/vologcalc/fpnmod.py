@@ -298,7 +298,6 @@ class NormalForm:
     triple: StTriple
     beta: tuple
     rho: tuple
-    w: tuple
     case: int
 
 
@@ -360,7 +359,7 @@ def normalize_class(M: FpnModule, t: StTriple) -> NormalForm:
             "cocycle not reducible: y survives the weight-0 correction"
         )
     # in case 2 norm.y is zero, so rho is too
-    return NormalForm(norm, norm.z, M.project_weight(norm.y, -2), w, case)
+    return NormalForm(norm, norm.z, M.project_weight(norm.y, -2), case)
 
 
 def change_uniformizer_class(t: StTriple, ell, M: FpnModule) -> StTriple:

@@ -8,6 +8,11 @@ with branch-polynomial coefficients and n at most the constant LOG_CAP = 4
 structure is kept; no radii arithmetic (the annulus is normalized to
 |pi| < |z| < 1).
 
+One window rule: every form and function carries its Laurent window, and
+terms of different windows never combine -- `+` and `*` of functions with
+different windows raise "mismatched window configuration". Forms have no
+`+`, so no rule ever picks the window of a sum.
+
 The extended residue is defined by exactness reduction: z^k log^n z dz/z is
 exact for n >= 1 (reduce via d(z^k log^n z / k), or d(log^{n+1} z/(n+1)) when
 k = 0) and for n = 0, k != 0, so the residue functional reads off the (0, 0)
@@ -33,6 +38,32 @@ def _accumulate(out: dict, key, c) -> None:
     out[key] = out[key] + c if key in out else c
 
 
+def _checked_terms(ctx: PadicContext, window: int, terms: dict, noun: str, logs: bool) -> dict:
+    """`terms` less its zero coefficients. Each key is checked in turn, so the
+    first bad key decides the error: its z-exponent lies in the window, its
+    log-degree in [0, LOG_CAP] (a key is (k, n) if `logs`, else k with n = 0),
+    and its coefficient has the context's prime."""
+    clean = {}
+    for key, c in terms.items():
+        k, n = key if logs else (key, 0)
+        if abs(k) > window:
+            raise PreconditionError(f"{noun} z^{k} outside the window [-{window}, {window}]")
+        if n > LOG_CAP:
+            raise LogDegreeOverflow(n, LOG_CAP)
+        if n < 0:
+            raise PreconditionError("negative log-degree")
+        if c.p != ctx.p:
+            raise PreconditionError("coefficient prime differs from the context")
+        if not c.is_zero:
+            clean[key] = c
+    return clean
+
+
+def _same_terms(x: dict, y: dict, zero: UniversalScalar) -> bool:
+    """Equality of two term dicts, an absent key counting as zero."""
+    return all(x.get(key, zero) == y.get(key, zero) for key in x.keys() | y.keys())
+
+
 @dataclass(frozen=True)
 class AnnulusForm:
     """sum a_k z^k dz/z with finite support inside [-window, window]."""
@@ -42,16 +73,7 @@ class AnnulusForm:
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
-        clean = {}
-        for k, a in self.coeffs.items():
-            if abs(k) > self.window:
-                raise PreconditionError(
-                    f"coefficient at z^{k} outside the window [-{self.window}, {self.window}]"
-                )
-            if a.p != self.ctx.p:
-                raise PreconditionError("coefficient prime differs from the context")
-            if not a.is_zero:
-                clean[k] = a
+        clean = _checked_terms(self.ctx, self.window, self.coeffs, "coefficient at", False)
         object.__setattr__(self, "coeffs", clean)
 
     def coeff(self, k: int) -> UniversalScalar:
@@ -61,17 +83,10 @@ class AnnulusForm:
     def residue(self) -> UniversalScalar:
         return self.coeff(0)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, a in other.coeffs.items():
-            _accumulate(out, k, a)
-        return AnnulusForm(self.ctx, out, min(self.window, other.window))
-
     def __eq__(self, other):
         if not isinstance(other, AnnulusForm):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeff(k) == other.coeff(k) for k in keys)
+        return _same_terms(self.coeffs, other.coeffs, self.ctx.zero_scalar())
 
     __hash__ = None
 
@@ -91,24 +106,8 @@ class LogLaurentFunction:
     truncated: bool = False
 
     def __post_init__(self):
-        clean = {}
-        for (k, n), c in self.terms.items():
-            if abs(k) > self.window:
-                raise PreconditionError(
-                    f"term z^{k} outside the window [-{self.window}, {self.window}]"
-                )
-            if n > LOG_CAP:
-                raise LogDegreeOverflow(n, LOG_CAP)
-            if n < 0:
-                raise PreconditionError("negative log-degree")
-            if c.p != self.ctx.p:
-                raise PreconditionError("coefficient prime differs from the context")
-            if not c.is_zero:
-                clean[(k, n)] = c
+        clean = _checked_terms(self.ctx, self.window, self.terms, "term", True)
         object.__setattr__(self, "terms", clean)
-
-    def coeff(self, k: int, n: int) -> UniversalScalar:
-        return self.terms.get((k, n), self.ctx.zero_scalar())
 
     def _config(self, other):
         if self.window != other.window:
@@ -139,8 +138,6 @@ class LogLaurentFunction:
                 if abs(k) > self.window:
                     dropped = True
                     continue
-                if n > LOG_CAP:
-                    raise LogDegreeOverflow(n, LOG_CAP)
                 _accumulate(out, (k, n), c1 * c2)
         return LogLaurentFunction(
             self.ctx, out, self.window, self.truncated or other.truncated or dropped
@@ -149,8 +146,7 @@ class LogLaurentFunction:
     def __eq__(self, other):
         if not isinstance(other, LogLaurentFunction):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        return all(self.coeff(*key) == other.coeff(*key) for key in keys)
+        return _same_terms(self.terms, other.terms, self.ctx.zero_scalar())
 
     __hash__ = None
 
@@ -159,13 +155,12 @@ class LogLaurentFunction:
         return not self.terms
 
 
-def integrate(omega: AnnulusForm, constant: UniversalScalar, window=None) -> LogLaurentFunction:
+def integrate(omega: AnnulusForm, constant: UniversalScalar) -> LogLaurentFunction:
     """Term-by-term primitive: sum_{k != 0} (a_k / k) z^k + a_0 log z + C.
 
     Dividing a_k by k costs v_p(k) digits of absolute precision in that
     coefficient; the precision fields record the loss.
     """
-    window = omega.window if window is None else window
     terms = {}
     for k, a in omega.coeffs.items():
         if k == 0:
@@ -174,7 +169,7 @@ def integrate(omega: AnnulusForm, constant: UniversalScalar, window=None) -> Log
             terms[(k, 0)] = a / k
     if not constant.is_zero:
         terms[(0, 0)] = terms.get((0, 0), omega.ctx.zero_scalar()) + constant
-    return LogLaurentFunction(omega.ctx, terms, window)
+    return LogLaurentFunction(omega.ctx, terms, omega.window)
 
 
 def differential(f: LogLaurentFunction) -> LogLaurentFunction:

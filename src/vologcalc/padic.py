@@ -245,12 +245,6 @@ class PadicNumber:
 
     __hash__ = None
 
-    def lift(self) -> Fraction:
-        """Canonical rational representative p^val * unit."""
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.p) ** self.val
-
     def __repr__(self):
         if self.is_zero:
             return f"O({self.p}^inf)"
@@ -270,8 +264,10 @@ def require_prime(p: int) -> int:
 
 
 def make_padic(p: int, numerator: int, denominator: int, precision: int) -> PadicNumber:
-    """p-adic expansion of numerator/denominator to `precision` relative digits."""
+    """p-adic expansion of numerator/denominator to `precision` relative digits;
+    the three numbers are read as `int_from_json` reads them."""
     require_prime(p)
+    numerator, denominator, precision = map(int_from_json, (numerator, denominator, precision))
     if denominator == 0:
         raise PreconditionError("zero denominator")
     if precision < 1:
@@ -510,7 +506,7 @@ def _one_unit_log(p: int, one_unit: int, abs_prec: int) -> PadicNumber:
     return from_fraction_abs(p, total, abs_prec)
 
 
-def iwasawa_log(z: PadicNumber, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScalar:
+def iwasawa_log(z: PadicNumber) -> UniversalScalar:
     """Universal-branch logarithm: log(<u>) + v(z) * L for z = p^v(z) u.
 
     u = w<u> with w a (p-1)-st root of unity, so u^(p-1) = <u>^(p-1) is a
@@ -524,7 +520,7 @@ def iwasawa_log(z: PadicNumber, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScala
         raise PreconditionError("logarithm of zero")
     p, prec = z.p, z.prec
     constant = _one_unit_log(p, pow(z.unit, p - 1, p**prec), prec) / (p - 1)
-    return UniversalScalar.of([constant, make_padic(p, z.val, 1, prec)], cap)
+    return UniversalScalar.of([constant, make_padic(p, z.val, 1, prec)])
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +530,16 @@ def iwasawa_log(z: PadicNumber, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScala
 
 @dataclass(frozen=True)
 class PadicContext:
-    """Working prime, precision, and branch-degree cap for one computation."""
+    """Working prime, precision, and branch-degree cap for one computation;
+    the precision and the cap are read as `int_from_json` reads them."""
 
     p: int
     prec: int = DEFAULT_PRECISION
     lambda_cap: int = DEFAULT_LAMBDA_CAP
+
+    def __post_init__(self):
+        object.__setattr__(self, "prec", int_from_json(self.prec))
+        object.__setattr__(self, "lambda_cap", int_from_json(self.lambda_cap))
 
     def zero(self) -> PadicNumber:
         return PadicNumber.zero(self.p, self.prec)

@@ -62,13 +62,13 @@ class EdgeLocalData:
             return self.raw_c
         return cross_annulus_jump(flip_coordinate(self.form), self.c_head, self.c_tail)
 
-    def residue_value(self, ctx: PadicContext) -> UniversalScalar:
+    def residue_value(self) -> UniversalScalar:
         """a_0 on the stored orientation; for raw data this is minus the
         branch coefficient of the raw difference."""
         if self.form is not None:
             return self.form.residue
         lead = self.raw_c.derive_at_zero()
-        return UniversalScalar.of([-lead], ctx.lambda_cap)
+        return UniversalScalar.of([-lead], self.raw_c.cap)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class LocalColemanData:
         return Cochain(self.graph, {e.edge_id: e.raw_value() for e in self.edges})
 
     def residue_cochain(self) -> Cochain:
-        return Cochain(self.graph, {e.edge_id: e.residue_value(self.ctx) for e in self.edges})
+        return Cochain(self.graph, {e.edge_id: e.residue_value() for e in self.edges})
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ class AssembledIntegral:
     gamma: VertexFn
     harmonic_cochain: Cochain
     anchor: object
-    ctx: PadicContext
 
 
 def assemble(data: LocalColemanData) -> AssembledIntegral:
@@ -124,7 +123,7 @@ def assemble(data: LocalColemanData) -> AssembledIntegral:
     anchor = data.graph.resolve_anchor(data.anchor)
     c = data.raw_cochain()
     harmonic, gamma = harmonic_project(c, anchor)
-    return AssembledIntegral(gamma, harmonic, anchor, data.ctx)
+    return AssembledIntegral(gamma, harmonic, anchor)
 
 
 def branch_shift(c_at_branch: Cochain, delta, n_omega: Cochain) -> Cochain:

@@ -211,10 +211,18 @@ def test_branch_derivative_of_index_is_log_coefficient():
 
 
 def test_log_degree_cap():
-    with pytest.raises(LogDegreeOverflow):
+    with pytest.raises(LogDegreeOverflow, match="log-degree 5 exceeds the configured cap 4"):
         llf({(0, 3): 1}) * llf({(0, 2): 1})  # degree 5 > LOG_CAP = 4
     with pytest.raises(PreconditionError):
         llf({(13, 0): 1})
+
+
+def test_functions_of_different_windows_never_combine():
+    narrow, wide = llf({(1, 0): 1}, window=6), llf({(1, 0): 1}, window=12)
+    for combine in (lambda f, g: f + g, lambda f, g: f * g):
+        for f, g in ((narrow, wide), (wide, narrow)):
+            with pytest.raises(PreconditionError, match="^mismatched window configuration$"):
+                combine(f, g)
 
 
 def test_form_as_function_round_trip():

@@ -216,7 +216,9 @@ def test_lambda_cap_overflow():
     lam = lambda_scalar(5, 8, cap=2)
     sq = lam * lam
     assert sq.degree == 2
-    with pytest.raises(LambdaDegreeOverflow):
+    with pytest.raises(
+        LambdaDegreeOverflow, match="branch-parameter degree 3 exceeds the configured cap 2"
+    ):
         sq * lam
 
 

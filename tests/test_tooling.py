@@ -1,6 +1,6 @@
 """The benchmark's traced entry points and the demo scripts still work, the
-package holds no float and its constructors take none, and each schema
-matches its subcommand's parser and output."""
+package holds no float and its constructors take none, every helper in it has
+a caller, and each schema matches its subcommand's parser and output."""
 
 import argparse
 import ast
@@ -134,6 +134,50 @@ def test_no_float_in_the_package():
     assert not found, found
 
 
+# Trees whose code may call into the package.
+CALLERS = ("src", "tests", "scripts", "perfbench")
+
+
+def _references():
+    """Attribute names, plain and imported names, and string constants used
+    anywhere in the CALLERS trees."""
+    attrs, names, strings = set(), set(), set()
+    for top in CALLERS:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    strings.add(node.value)
+    return attrs, names, strings
+
+
+def test_every_helper_has_a_caller():
+    """Each method of a package class is used as an attribute or named in a
+    string (dunders are called by the language), and each module-level
+    function is used by name, by import or as an attribute. `_cmd_*` are
+    exempt: `cli.run` dispatches them by name."""
+    attrs, names, strings = _references()
+    functions_used, methods_used = names | attrs, attrs | strings
+    dead = []
+    for path in sorted((ROOT / "src" / "vologcalc").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                if not node.name.startswith("_cmd_") and node.name not in functions_used:
+                    dead.append(f"{path.name}: {node.name}")
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))
+                            and item.name not in methods_used):
+                        dead.append(f"{path.name}: {node.name}.{item.name}")
+    assert not dead, dead
+
+
 def _kummer_triple():
     ext, A, B = kummer_extension(5, 1, 1)
     return ext_to_triple(ext, A, B)
@@ -150,6 +194,11 @@ CONSTRUCTORS = {
     "divisor horizontal": lambda x: heights.divisor([("a", 1, 0), ("b", -1, 0)], {("a", "x"): x}),
     "divisor multiplicity": lambda x: heights.divisor([("a", x, 0), ("b", -1, 0)]),
     "PadicContext.scalar": lambda x: PadicContext(5).scalar(x),
+    "PadicContext prec": lambda x: PadicContext(5, x).scalar(1),
+    "PadicContext lambda_cap": lambda x: PadicContext(5, 20, x).scalar(1),
+    "make_padic numerator": lambda x: make_padic(5, x, 3, 4),
+    "make_padic denominator": lambda x: make_padic(5, 1, x, 4),
+    "make_padic precision": lambda x: make_padic(5, 1, 3, x),
     "kummer_extension beta": lambda x: kummer_extension(5, x, 1),
     "ext_to_triple A": lambda x: ext_to_triple(kummer_extension(5, 1, 1)[0], (x, 1), (1, 1)),
     "change_uniformizer_class ell": lambda x: change_uniformizer_class(_kummer_triple(), x, kummer_module(5)),
