@@ -17,9 +17,10 @@ normalization) and a discrete component rho (the weight -2 part of the
 normalized y). The headline identity, checked by synderi_check, is that
 the branch derivative of beta is -I(rho).
 
-All linear algebra is exact over Fraction; triples may carry p-adic entries
-in the z slot only (the matrices and x, y stay rational), which is how
-arithmetic data flows in from the logarithm.
+All linear algebra is exact: the matrices are Fraction tuples, and every
+elimination runs in integers after clearing denominators. x and y are
+rational; only z may carry p-adic entries, which is how arithmetic data flows
+in from the logarithm, and z is only ever reduced by rational rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .linalg import (
     reduce_mod_span,
     row_echelon_basis,
 )
-from .padic import iwasawa_log, make_padic, require_prime
+from .padic import PadicNumber, iwasawa_log, make_padic, require_prime
 
 
 def _frac_vector(v):
@@ -48,6 +49,14 @@ def _frac_vector(v):
 
 def _frac_matrix(rows):
     return tuple(map(_frac_vector, rows))
+
+
+def _check_shapes(what: str, n: int, f0, **matrices):
+    for name, m in matrices.items():
+        if len(m) != n or any(len(row) != n for row in m):
+            raise PreconditionError(f"{what} {name} is not {n} x {n}")
+    if any(len(v) != n for v in f0):
+        raise PreconditionError(f"{what} F^0 vector is not of length {n}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,7 @@ class FpnModule:
     _f0_echelon: tuple = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_shapes("module", self.dim, self.f0, phi=self.phi, N=self.N, iso=self.iso)
         object.__setattr__(self, "_f0_echelon", row_echelon_basis(self.f0))
 
     @property
@@ -162,11 +172,20 @@ def validate(M: FpnModule):
 
 @dataclass(frozen=True)
 class StTriple:
-    """Cocycle representative (x, y, z); z is a coset representative mod F^0."""
+    """Cocycle representative (x, y, z); z is a coset representative mod F^0.
+
+    x and y are read as rationals, and so is z except for its PadicNumber
+    entries (a logarithm); a float or a bool raises ParseError."""
 
     x: tuple
     y: tuple
     z: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", _frac_vector(self.x))
+        object.__setattr__(self, "y", _frac_vector(self.y))
+        z = tuple(v if isinstance(v, PadicNumber) else to_fraction(v) for v in self.z)
+        object.__setattr__(self, "z", z)
 
 
 def check_cocycle(M: FpnModule, t: StTriple):
@@ -216,13 +235,12 @@ class FpnExtension:
 
     def __post_init__(self):
         n = self.base.dim
+        _check_shapes("extension", n + 1, self.f0, phi=self.phi, N=self.N, iso=self.iso)
         for name, big, small, last in (
             ("phi", self.phi, self.base.phi, 1),
             ("N", self.N, self.base.N, 0),
             ("iso", self.iso, self.base.iso, 1),
         ):
-            if len(big) != n + 1:
-                raise PreconditionError(f"extension {name} has wrong dimension")
             for j in range(n):
                 if big[n][j] != 0:
                     raise PreconditionError(

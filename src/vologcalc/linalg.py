@@ -1,9 +1,10 @@
 """Exact dense linear algebra used internally.
 
-Two routines: fraction-free (Bareiss) elimination over integer matrices, used
-for graph Laplacians, and one Gauss-Jordan echelon routine over Fractions
-(`row_echelon_basis`) for the module-theoretic computations; `gauss_solve`
-and `is_invertible` read their answers off it.
+One elimination: fraction-free (Bareiss) forward elimination of integer rows
+of any shape, skipping a column without a pivot, and one integer back
+substitution scaled by the last pivot. The module routines
+(`row_echelon_basis`, `gauss_solve`, `is_invertible`) first clear each row's
+denominators, which keeps the span, and divide once per entry at the end.
 
 Bareiss elimination is split from solving: `bareiss_factor` runs the integer
 forward elimination once and records it, and `bareiss_solve` solves any
@@ -31,37 +32,68 @@ from .errors import PreconditionError
 
 @dataclass(frozen=True)
 class BareissFactor:
-    """Record of fraction-free forward elimination of a square integer matrix.
-
-    `upper` is the eliminated matrix (upper triangular, last pivot +-det);
-    `steps[col]` is (pivot row swapped into col, pivot, previous pivot,
-    multipliers a[r][col] for the rows r below col).
-    """
+    """Record of fraction-free forward elimination of a square integer matrix:
+    `upper` is the eliminated matrix (upper triangular, last pivot +-det) and
+    `steps` the record `_eliminate` returns."""
 
     upper: tuple
     steps: tuple
 
 
+def _eliminate(a):
+    """Forward elimination of the integer rows `a` in place, skipping a column
+    with no nonzero entry at or below row k = len(pivots); returns (steps,
+    pivot columns), `steps[k]` = (row swapped into k, pivot, previous pivot,
+    multipliers a[r][col] for the rows r below k). Entries stay minors of the
+    input (Sylvester's identity), so each `//` is exact."""
+    steps, pivots = [], []
+    m = len(a)
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        k = len(pivots)
+        piv = next((r for r in range(k, m) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+        top = a[k][col:]
+        pivot = top[0]
+        factors = tuple(a[r][col] for r in range(k + 1, m))
+        for r, f in enumerate(factors, k + 1):
+            a[r][col:] = [(pivot * x - f * y) // prev for x, y in zip(a[r][col:], top)]
+        steps.append((piv, pivot, prev, factors))
+        pivots.append(col)
+        prev = pivot
+    return steps, pivots
+
+
+def _back_substitute(upper, b, det):
+    """det * x for upper x = b, integral by Cramer's rule when `upper` came
+    out of `_eliminate` and det is its last pivot."""
+    n = len(b)
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = upper[i]
+        acc = det * b[i]
+        for j in range(i + 1, n):
+            acc -= row[j] * y[j]
+        y[i] = acc // row[i]
+    return y
+
+
+def _clear_denominators(vec):
+    """(d, d * vec) for int and Fraction entries, d the lcm of their denominators."""
+    d = math.lcm(*(v.denominator for v in vec))
+    return d, [v.numerator * (d // v.denominator) for v in vec]
+
+
 def bareiss_factor(matrix) -> BareissFactor:
     """Fraction-free forward elimination of square nonsingular integer A,
     recorded for `bareiss_solve`; every intermediate stays integral."""
-    n = len(matrix)
     a = [list(row) for row in matrix]
-    steps = []
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise PreconditionError("singular system in fraction-free solve")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        top = a[col][col:]
-        pivot = top[0]
-        factors = tuple(a[r][col] for r in range(col + 1, n))
-        for r, f in enumerate(factors, col + 1):
-            a[r][col:] = [(pivot * x - f * y) // prev for x, y in zip(a[r][col:], top)]
-        steps.append((piv, pivot, prev, factors))
-        prev = pivot
+    steps, pivots = _eliminate(a)
+    if len(pivots) != len(a):
+        raise PreconditionError("singular system in fraction-free solve")
     return BareissFactor(tuple(tuple(row) for row in a), tuple(steps))
 
 
@@ -118,33 +150,23 @@ def bareiss_solve(factor: BareissFactor, rhs):
 
 
 def _solve_rational(factor: BareissFactor, rhs):
-    scale = math.lcm(*(v.denominator for v in rhs))
-    b = [v.numerator * (scale // v.denominator) for v in rhs]
+    scale, b = _clear_denominators(rhs)
     for col, (piv, pivot, prev, factors) in enumerate(factor.steps):
         if piv != col:
             b[col], b[piv] = b[piv], b[col]
         bc = b[col]
         for r, f in enumerate(factors, col + 1):
             b[r] = (b[r] * pivot - bc * f) // prev
-    a = factor.upper
     det = factor.steps[-1][1] if factor.steps else 1
-    n = len(b)
-    y = [0] * n  # y = det * x, integral by Cramer's rule
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = det * b[i]
-        for j in range(i + 1, n):
-            acc -= row[j] * y[j]
-        y[i] = acc // row[i]
-    return [Fraction(v, det * scale) for v in y]
+    return [Fraction(v, det * scale) for v in _back_substitute(factor.upper, b, det)]
 
 
 def gauss_solve(matrix, rhs, singular: str = "singular system in exact solve"):
-    """Solve A x = b for square Fraction A, generic b, by echelonizing
+    """Solve A x = b for square rational A and rational b by echelonizing
     [A | b] once; a singular A raises PreconditionError(singular)."""
     n = len(matrix)
     rows, pivots = row_echelon_basis(
-        [[Fraction(v) for v in row] + [b] for row, b in zip(matrix, rhs, strict=True)]
+        [list(row) + [b] for row, b in zip(matrix, rhs, strict=True)]
     )
     if pivots != list(range(n)):
         raise PreconditionError(singular)
@@ -152,9 +174,7 @@ def gauss_solve(matrix, rhs, singular: str = "singular system in exact solve"):
 
 
 def is_invertible(matrix) -> bool:
-    n = len(matrix)
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    return len(row_echelon_basis(rows)[1]) == n
+    return len(_eliminate([_clear_denominators(row)[1] for row in matrix])[1]) == len(matrix)
 
 
 def mat_vec(matrix, vec):
@@ -180,26 +200,16 @@ def identity(n):
 
 
 def row_echelon_basis(vectors):
-    """Echelonize a list of Fraction vectors; returns (rows, pivot columns)."""
-    rows = [list(v) for v in vectors]
-    pivots = []
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [v / pivot for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    rows = [row for row in rows if any(v != 0 for v in row)]
-    return rows, pivots
+    """Reduced row echelon form of rational vectors: (nonzero rows, pivot
+    columns), every entry a Fraction. Each column of the eliminated rows is
+    back-substituted against their pivot columns, then divided once."""
+    a = [_clear_denominators(v)[1] for v in vectors]
+    steps, pivots = _eliminate(a)
+    a = a[: len(pivots)]
+    det = steps[-1][1] if steps else 1
+    square = [[row[c] for c in pivots] for row in a]
+    columns = [_back_substitute(square, col, det) for col in zip(*a)]
+    return [[Fraction(col[i], det) for col in columns] for i in range(len(a))], pivots
 
 
 def reduce_mod_span(vec, echelon_rows, pivots):

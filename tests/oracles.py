@@ -2,7 +2,8 @@
 
 Everything here is textbook dense linear algebra over Fraction: plain
 Gaussian elimination with partial pivoting, a dense Laplacian matrix builder,
-and a rank routine. Acceptance checks compare library output against these.
+and a reduced row echelon routine that also gives the rank. Acceptance checks
+compare library output against these.
 `bareiss_reference` is the one-shot fraction-free loop that the library's
 factor-once solver replaced; it pins the p-adic results (digits and
 precision) of that solver to the original order of operations.
@@ -108,13 +109,13 @@ def poisson_oracle(g, values, anchor):
     return out
 
 
-def rank_oracle(matrix):
+def echelon_oracle(matrix):
+    """Reduced row echelon form by Gauss-Jordan over Fraction: (nonzero rows,
+    pivot columns)."""
     rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    rank = 0
-    cols = len(rows[0])
-    for col in range(cols):
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
         piv = None
         for r in range(rank, len(rows)):
             if rows[r][col] != 0:
@@ -129,8 +130,12 @@ def rank_oracle(matrix):
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rank_oracle(matrix):
+    return len(echelon_oracle(matrix)[1])
 
 
 def d_star_matrix(g):

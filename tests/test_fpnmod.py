@@ -348,6 +348,41 @@ def test_ext_to_triple_rejects_bad_lifts():
         ext_to_triple(ext, A, (5, 1))  # not in F^0
 
 
+KUMMER_EXT = {"phi": [[F(1, 5), 0], [0, 1]], "N": [[0, 2], [0, 0]], "f0": [[3, 1]]}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: module(5, [[F(1, 5), 0]], [[0]], [-2]),
+        lambda: module(5, [[F(1, 5)]], [[0], [0]], [-2]),
+        lambda: module(5, [[F(1, 5)]], [[0]], [-2], iso=[[1, 0], [0, 1]]),
+        lambda: module(5, [[F(1, 5)]], [[0]], [-2], f0=[[1, 2]]),
+        lambda: extension(kummer_module(5), **{**KUMMER_EXT, "phi": [[F(1, 5), 0, 9], [0, 1]]}),
+        lambda: extension(kummer_module(5), **{**KUMMER_EXT, "N": [[0, 2], [0, 0, 7]]}),
+        lambda: extension(kummer_module(5), **KUMMER_EXT, iso=[[1, 0], [0]]),
+        lambda: extension(kummer_module(5), **{**KUMMER_EXT, "f0": [[3, 1, 4]]}),
+    ],
+    ids=["module phi", "module N", "module iso", "module f0",
+         "extension phi", "extension N", "extension iso", "extension f0"],
+)
+def test_library_constructors_check_shapes(build):
+    with pytest.raises(PreconditionError):
+        build()
+
+
+def test_triple_entries_are_exact():
+    """x and y are rational; z is too, unless it holds a p-adic logarithm."""
+    for bad in ((0.5,), (True,)):
+        for fields in ((bad, (0,), (0,)), ((0,), bad, (0,)), ((0,), (0,), bad)):
+            with pytest.raises(ParseError):
+                StTriple(*fields)
+    t = StTriple((0,), ("1/2",), (3,))
+    assert t.y == (F(1, 2),) and type(t.z[0]) is Fraction
+    log = iwasawa_log(make_padic(5, 6, 1, 8)).constant_term()
+    assert StTriple((0,), (1,), (log,)).z == (log,)
+
+
 # ---------------------------------------------------------------------------
 # normal forms
 # ---------------------------------------------------------------------------

@@ -4,10 +4,17 @@ from fractions import Fraction
 import pytest
 
 from vologcalc.errors import PreconditionError
-from vologcalc.linalg import bareiss_factor, bareiss_solve, gauss_solve, is_invertible, mat_vec
+from vologcalc.linalg import (
+    bareiss_factor,
+    bareiss_solve,
+    gauss_solve,
+    is_invertible,
+    mat_vec,
+    row_echelon_basis,
+)
 from vologcalc.padic import PadicNumber, UniversalScalar, make_padic, padic_to_json, scalar_to_json
 
-from .oracles import bareiss_reference, dense_solve, rank_oracle
+from .oracles import bareiss_reference, dense_solve, echelon_oracle, rank_oracle
 
 
 def _random_matrix(rng, n):
@@ -39,6 +46,25 @@ def test_is_invertible_and_gauss_solve_random():
             with pytest.raises(PreconditionError):
                 gauss_solve(m, b)
     assert 50 < singular < 250
+    assert row_echelon_basis([]) == ([], [])
+    dependent = zero_column = 0
+    for _ in range(400):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+        den = [rng.randint(1, 12) for _ in range(rows)]  # one denominator per row
+        m = [[Fraction(rng.choice([0, rng.randint(-9, 9)]), d) for _ in range(cols)] for d in den]
+        if rows > 1 and rng.random() < 0.4:
+            i, j = rng.sample(range(rows), 2)
+            m[i] = [Fraction(rng.randint(-3, 3), den[i]) * x for x in m[j]]
+            dependent += 1
+        if cols and rng.random() < 0.3:
+            k = rng.randrange(cols)
+            for row in m:
+                row[k] = Fraction(0)
+            zero_column += 1
+        got = row_echelon_basis(m)
+        assert got == echelon_oracle(m), m
+        assert all(type(v) is Fraction for row in got[0] for v in row)
+    assert dependent > 50 and zero_column > 50
 
 
 def test_bareiss_factor_solves_rational_and_padic_right_hand_sides():

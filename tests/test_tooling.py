@@ -18,11 +18,12 @@ import pytest
 import vologcalc
 import vologcalc.cli  # noqa: F401 -- Tracer.install wraps entry points in every layer
 from perfbench import gen
-from perfbench.run import GOLDEN
+from perfbench.run import GOLDEN, execute, prepare, verify
 from perfbench.trace import ENTRY_POINTS, Tracer
 from vologcalc import heights
 from vologcalc.errors import ParseError
 from vologcalc.fpnmod import (
+    StTriple,
     change_uniformizer_class,
     ext_to_triple,
     kummer_extension,
@@ -101,14 +102,20 @@ def test_padic_replay_work_follows_the_factor_nonzeros():
     assert tracer.ops["padic.scalar_ops"] <= 5 * multipliers + 2 * upper + 4 * 64
 
 
-def test_log_split_modules_are_valid():
+def test_log_split_modules_are_valid(tmp_path):
     """fpn-split validates its module, so every module template of the
-    log_split workload must pass validate()."""
+    log_split workload must pass validate(); and the fpn-split jobs of one
+    round pass the benchmark's exact oracle and coboundary-pair check."""
     rng = random.Random(11)
     for case, dim in gen.FPN_TEMPLATES:
         mod, _, _ = gen.fpn_module(rng, case, dim, rng.choice((3, 5, 7)))
         M = module(mod["p"], mod["phi"], mod["N"], mod["weights"], mod["f0"], mod["iso"])
         assert validate(M) is None, (case, dim)
+    jobs = [job for job in gen.log_split_round(11, 0, str(tmp_path)) if job.kind == "fpn-split"]
+    assert len(jobs) == 32
+    prepare(jobs, vologcalc)
+    verdicts = verify(jobs, [execute(job, vologcalc) for job in jobs], None)
+    assert [i for i, v in enumerate(verdicts) if not v.ok] == []
 
 
 # Float-valued math names that must not reach the exact core. math.inf stays
@@ -203,6 +210,9 @@ CONSTRUCTORS = {
     "ext_to_triple A": lambda x: ext_to_triple(kummer_extension(5, 1, 1)[0], (x, 1), (1, 1)),
     "change_uniformizer_class ell": lambda x: change_uniformizer_class(_kummer_triple(), x, kummer_module(5)),
     "twist_uniformizer ell": lambda x: twist_uniformizer(kummer_module(5), x),
+    "StTriple x": lambda x: StTriple((x,), (0,), (0,)),
+    "StTriple y": lambda x: StTriple((0,), (x,), (0,)),
+    "StTriple z": lambda x: StTriple((0,), (0,), (x,)),
 }
 
 
