@@ -17,10 +17,10 @@ normalization) and a discrete component rho (the weight -2 part of the
 normalized y). The headline identity, checked by synderi_check, is that
 the branch derivative of beta is -I(rho).
 
-All linear algebra is exact: the matrices are Fraction tuples, and every
-elimination runs in integers after clearing denominators. x and y are
-rational; only z may carry p-adic entries, which is how arithmetic data flows
-in from the logarithm, and z is only ever reduced by rational rows.
+All linear algebra is exact and runs in integers: each module scales its
+matrices once, products are integer dot products divided once per entry, and
+eliminations clear denominators first. x and y are rational; only z may hold
+p-adic entries (a logarithm), and only such a z takes the generic reduction.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ from .jsonutil import frac_from_json, int_from_json, items, member, to_fraction
 from .linalg import (
     gauss_solve,
     identity,
+    int_mat_vec,
     is_invertible,
-    mat_mul,
-    mat_vec,
     reduce_mod_span,
     row_echelon_basis,
+    scaled,
+    scaled_mat_vec,
 )
 from .padic import PadicNumber, iwasawa_log, make_padic, require_prime
 
@@ -63,7 +64,8 @@ def _check_shapes(what: str, n: int, f0, **matrices):
 class FpnModule:
     """Dimension-n module: matrices act on column vectors in the weight basis.
 
-    The echelon form of F^0 is computed once, when the module is made."""
+    Made once per module: the echelon form of F^0, and the integer forms
+    (`linalg.scaled`) of phi, N, I and the projection onto D_K / F^0."""
 
     p: int
     phi: tuple
@@ -72,10 +74,18 @@ class FpnModule:
     f0: tuple
     iso: tuple
     _f0_echelon: tuple = field(init=False, default=None, repr=False, compare=False)
+    _scaled: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "p", require_prime(int_from_json(self.p)))
         _check_shapes("module", self.dim, self.f0, phi=self.phi, N=self.N, iso=self.iso)
-        object.__setattr__(self, "_f0_echelon", row_echelon_basis(self.f0))
+        rows, pivots = row_echelon_basis(self.f0)
+        # v -> v - sum_k v[p_k] R_k: each reduced row R_k vanishes at the other pivots
+        at, n = dict(zip(pivots, rows)), self.dim
+        proj = [[int(i == j) - (at[j][i] if j in at else 0) for j in range(n)] for i in range(n)]
+        forms = {name: scaled(getattr(self, name)) for name in ("phi", "N", "iso")}
+        object.__setattr__(self, "_f0_echelon", (rows, pivots))
+        object.__setattr__(self, "_scaled", {**forms, "f0": scaled(proj)})
 
     @property
     def dim(self) -> int:
@@ -90,8 +100,15 @@ class FpnModule:
     def project_weight(self, vec, k: int):
         return tuple(vec[i] if self.weights[i] == k else Fraction(0) for i in range(self.dim))
 
+    def apply(self, name: str, vec):
+        """phi, N, iso or (for "f0") the projection mod F^0, times rational vec."""
+        return scaled_mat_vec(self._scaled[name], vec)
+
     def reduce_mod_f0(self, vec):
-        """Canonical coset representative in D_K / F^0."""
+        """Canonical coset representative in D_K / F^0: one scaled product
+        for a rational vec, the row-by-row loop if an entry is p-adic."""
+        if all(type(v) is Fraction or type(v) is int for v in vec):
+            return self.apply("f0", vec)
         return reduce_mod_span(tuple(vec), *self._f0_echelon)
 
 
@@ -109,8 +126,8 @@ def _monodromy_series(M: FpnModule, y):
     while any(v != 0 for v in y):
         if j > M.dim:
             raise PreconditionError("monodromy operator is not nilpotent")
-        yield j, mat_vec(M.iso, y)
-        y = mat_vec(M.N, y)
+        yield j, M.apply("iso", y)
+        y = M.apply("N", y)
         j += 1
 
 
@@ -135,37 +152,37 @@ def validate(M: FpnModule):
     nilpotent because it lowers weight by 2 (N^k lowers it by 2k, and there
     are at most dim weights), and phi, which preserves the grading, is
     invertible exactly when each of its weight blocks is."""
-    n = M.dim
-    p = M.p
-    nphi = mat_mul(M.N, M.phi)
-    pphin = tuple(tuple(p * v for v in row) for row in mat_mul(M.phi, M.N))
+    n, p = M.dim, M.p
+    (dn, nz), (dphi, phiz) = M._scaled["N"], M._scaled["phi"]
+    # column j of (d_N N)(d_phi phi) and of (d_phi phi)(d_N N)
+    nphi = [int_mat_vec(nz, col) for col in zip(*phiz)]
+    phin = [int_mat_vec(phiz, col) for col in zip(*nz)]
     for i in range(n):
         for j in range(n):
-            if nphi[i][j] != pphin[i][j]:
+            if nphi[j][i] != p * phin[j][i]:
                 return (
                     f"monodromy-Frobenius relation fails at entry ({i}, {j}): "
-                    f"(N phi) = {nphi[i][j]}, p (phi N) = {pphin[i][j]}"
+                    f"(N phi) = {Fraction(nphi[j][i], dn * dphi)}, "
+                    f"p (phi N) = {Fraction(p * phin[j][i], dn * dphi)}"
                 )
     for j in range(n):
         for i in range(n):
-            if M.N[i][j] != 0 and M.weights[i] != M.weights[j] - 2:
+            if nz[i][j] != 0 and M.weights[i] != M.weights[j] - 2:
                 return (
                     f"monodromy does not lower weight by 2 at entry ({i}, {j}): "
                     f"maps weight {M.weights[j]} into weight {M.weights[i]}"
                 )
     for j in range(n):
         for i in range(n):
-            if M.phi[i][j] != 0 and M.weights[i] != M.weights[j]:
-                return (
-                    f"Frobenius does not preserve the weight grading at ({i}, {j})"
-                )
+            if phiz[i][j] != 0 and M.weights[i] != M.weights[j]:
+                return f"Frobenius does not preserve the weight grading at ({i}, {j})"
     blocks = [(k, M.weight_indices(k)) for k in M.weight_set()]
     for k, idx in blocks:
-        if k != 0 and not is_invertible(_block(M.phi, idx, idx, 1)):
-            return f"phi - 1 is singular on the weight-{k} summand"
-    if not all(is_invertible(_block(M.phi, idx, idx)) for _, idx in blocks):
+        if k != 0 and not is_invertible(_block(phiz, idx, idx, dphi)):
+            return f"phi - 1 is singular on the weight {k} summand"
+    if not all(is_invertible(_block(phiz, idx, idx)) for _, idx in blocks):
         return "Frobenius is singular"
-    if not is_invertible(M.iso):
+    if not is_invertible(M._scaled["iso"][1]):
         return "comparison map is singular"
     return None
 
@@ -189,8 +206,8 @@ class StTriple:
 
 
 def check_cocycle(M: FpnModule, t: StTriple):
-    lhs = mat_vec(M.N, t.x)
-    y_part = [t.y[i] - M.p * v for i, v in enumerate(mat_vec(M.phi, t.y))]
+    lhs = M.apply("N", t.x)
+    y_part = [t.y[i] - M.p * v for i, v in enumerate(M.apply("phi", t.y))]
     for i in range(M.dim):
         if lhs[i] + y_part[i] != 0:
             raise PreconditionError(
@@ -201,11 +218,11 @@ def check_cocycle(M: FpnModule, t: StTriple):
 def first_differential(M: FpnModule, w) -> StTriple:
     """Image of w in D under the first differential ((phi-1)w, Nw, -Iw)."""
     w = tuple(w)
-    phiw = mat_vec(M.phi, w)
+    phiw = M.apply("phi", w)
     return StTriple(
         tuple(phiw[i] - w[i] for i in range(M.dim)),
-        mat_vec(M.N, w),
-        M.reduce_mod_f0(tuple(-v for v in mat_vec(M.iso, w))),
+        M.apply("N", w),
+        M.reduce_mod_f0(tuple(-v for v in M.apply("iso", w))),
     )
 
 
@@ -286,11 +303,13 @@ def ext_to_triple(ext: FpnExtension, A, B) -> StTriple:
     if any(v != 0 for v in reduce_mod_span(B, *row_echelon_basis(ext.f0))):
         raise PreconditionError("B is not in F^0 of the extension")
 
+    phi, N, iso = scaled(ext.phi), scaled(ext.N), scaled(ext.iso)
+
     def triple_for(lift):
-        phiA = mat_vec(ext.phi, lift)
+        phiA = scaled_mat_vec(phi, lift)
         x = tuple(phiA[i] - lift[i] for i in range(n))
-        y = mat_vec(ext.N, lift)[:n]
-        ia = mat_vec(ext.iso, lift)
+        y = scaled_mat_vec(N, lift)[:n]
+        ia = scaled_mat_vec(iso, lift)
         z = tuple(B[i] - ia[i] for i in range(n))
         return StTriple(x, tuple(y), base.reduce_mod_f0(z))
 
@@ -323,14 +342,15 @@ def _solve_weight_blocks(M: FpnModule, x) -> list:
     """w with (phi - 1) w = x blockwise on the nonzero weights; the weight-0
     component of x must vanish (callers guarantee it by case analysis)."""
     w = [Fraction(0)] * M.dim
+    dphi, phiz = M._scaled["phi"]
     for k in M.weight_set():
         if k == 0:
             continue
         idx = M.weight_indices(k)
         sol = gauss_solve(
-            _block(M.phi, idx, idx, 1),
-            [x[i] for i in idx],
-            f"phi - 1 is singular on the weight-{k} summand",
+            _block(phiz, idx, idx, dphi),
+            [dphi * x[i] for i in idx],
+            f"phi - 1 is singular on the weight {k} summand",
         )
         for i, v in zip(idx, sol):
             w[i] = v
@@ -364,7 +384,7 @@ def normalize_class(M: FpnModule, t: StTriple) -> NormalForm:
         if len(idx0) != len(idx2):
             raise PreconditionError(unsupported)
         # kill the weight -2 part of y left after the first correction
-        nw = mat_vec(M.N, tuple(w))
+        nw = M.apply("N", w)
         sol = gauss_solve(_block(M.N, idx2, idx0), [t.y[i] - nw[i] for i in idx2], unsupported)
         for i, v in zip(idx0, sol):
             w[i] = w[i] + v
@@ -438,7 +458,7 @@ def synderi_check(M: FpnModule, t: StTriple) -> SynderiWitness:
         derivative = tuple(Fraction(0) for _ in range(M.dim))
     else:
         derivative = coeffs[1]
-    minus_iso_rho = M.reduce_mod_f0(tuple(-v for v in mat_vec(M.iso, nf.rho)))
+    minus_iso_rho = M.reduce_mod_f0(tuple(-v for v in M.apply("iso", nf.rho)))
     ok = all(a == b for a, b in zip(derivative, minus_iso_rho))
     return SynderiWitness(ok, derivative, minus_iso_rho, tuple(coeffs), nf)
 

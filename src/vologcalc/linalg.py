@@ -5,6 +5,9 @@ of any shape, skipping a column without a pivot, and one integer back
 substitution scaled by the last pivot. The module routines
 (`row_echelon_basis`, `gauss_solve`, `is_invertible`) first clear each row's
 denominators, which keeps the span, and divide once per entry at the end.
+Products run in integers too: `scaled` gives a rational matrix as (d, d A)
+once, and `scaled_mat_vec` takes integer dot products on it. `reduce_mod_span`
+reduces row by row in the vector's own arithmetic, which a p-adic vector needs.
 
 Bareiss elimination is split from solving: `bareiss_factor` runs the integer
 forward elimination once and records it, and `bareiss_solve` solves any
@@ -177,26 +180,27 @@ def is_invertible(matrix) -> bool:
     return len(_eliminate([_clear_denominators(row)[1] for row in matrix])[1]) == len(matrix)
 
 
-def mat_vec(matrix, vec):
-    """matrix vec over Fraction, skipping zero entries as `mat_mul` does."""
-    return tuple(sum((x * v for x, v in zip(row, vec) if x), Fraction(0)) for row in matrix)
+def scaled(matrix):
+    """(d, d * matrix) with integer rows, d the lcm of the entries' denominators."""
+    d = math.lcm(*(v.denominator for row in matrix for v in row))
+    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in matrix)
 
 
-def mat_mul(a, b):
-    """a b over Fraction, skipping products with a zero factor, so that a
-    sparse factor (a monodromy operator) costs little."""
-    cols = range(len(b[0]) if b else 0)
-    return tuple(
-        tuple(sum((x * r[j] for x, r in zip(row, b) if x and r[j]), Fraction(0)) for j in cols)
-        for row in a
-    )
+def scaled_mat_vec(form, vec):
+    """matrix vec from (d, d * matrix) and a rational vec: its denominators are
+    cleared once, and each entry is an integer dot product divided once."""
+    d, rows = form
+    e, v = _clear_denominators(vec)
+    return tuple(Fraction(x, d * e) for x in int_mat_vec(rows, v))
+
+
+def int_mat_vec(rows, vec):
+    """Integer dot products of the rows with vec, skipping zero row entries."""
+    return [sum(a * x for a, x in zip(row, vec) if a) for row in rows]
 
 
 def identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def row_echelon_basis(vectors):

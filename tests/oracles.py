@@ -10,6 +10,10 @@ precision) of that solver to the original order of operations.
 `validate_reference` is the Frobenius-monodromy module check as first
 written: it tests nilpotency by powers of N and invertibility of the whole
 Frobenius matrix, which the library infers from the weight checks.
+`dense_mul` and `dense_mat_vec` are the Fraction products that the module
+layer replaced by integer products. `reduce_mod_span_reference` is the
+row-by-row reduction modulo an echelonized span, which the library keeps for
+vectors with p-adic entries.
 `iwasawa_log_reference` is the logarithm as first written: it divides the
 unit by its Teichmueller root of unity, a p^(prec-1) power mod p^prec, and
 bounds the Fraction series with a float logarithm.
@@ -170,12 +174,32 @@ def random_connected_graph(rng, max_vertices, graph_builder):
     return graph_builder(range(n), edges)
 
 
-def _dense_mul(a, b):
+def dense_mul(a, b):
+    """a b over Fraction, every product taken."""
     k, m = len(b), len(b[0])
     return [
         [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
         for i in range(len(a))
     ]
+
+
+def dense_mat_vec(matrix, vec):
+    """matrix vec over Fraction, every product taken."""
+    return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in matrix]
+
+
+def reduce_mod_span_reference(vec, rows):
+    """vec less, row by row, its pivot coordinate times each reduced echelon
+    row of `rows`; a coefficient that is an exact rational zero is skipped,
+    so p-adic entries see the operations that the library's loop makes."""
+    echelon, pivots = echelon_oracle(rows)
+    out = list(vec)
+    for row, col in zip(echelon, pivots):
+        coeff = out[col]
+        if isinstance(coeff, (int, Fraction)) and coeff == 0:
+            continue
+        out = [x - coeff * y for x, y in zip(out, row)]
+    return out
 
 
 def validate_reference(M):
@@ -185,8 +209,8 @@ def validate_reference(M):
     p = M.p
     if n == 0:
         return None
-    nphi = _dense_mul(M.N, M.phi)
-    pphin = [[p * v for v in row] for row in _dense_mul(M.phi, M.N)]
+    nphi = dense_mul(M.N, M.phi)
+    pphin = [[p * v for v in row] for row in dense_mul(M.phi, M.N)]
     for i in range(n):
         for j in range(n):
             if nphi[i][j] != pphin[i][j]:
@@ -211,10 +235,10 @@ def validate_reference(M):
         idx = [i for i, w in enumerate(M.weights) if w == k]
         block = [[M.phi[i][j] - (1 if i == j else 0) for j in idx] for i in idx]
         if rank_oracle(block) != len(idx):
-            return f"phi - 1 is singular on the weight-{k} summand"
+            return f"phi - 1 is singular on the weight {k} summand"
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(n):
-        power = _dense_mul(M.N, power)
+        power = dense_mul(M.N, power)
     if any(any(v != 0 for v in row) for row in power):
         return "monodromy operator is not nilpotent"
     if rank_oracle(M.phi) != n:

@@ -165,6 +165,21 @@ def test_fpn_split_golden(capsys):
     assert payload == {"beta": ["7/2"], "rho": ["1"], "synderi": True}
 
 
+@pytest.mark.parametrize("case", [1, 2])
+def test_fpn_split_golden_of_a_larger_module(case, capsys):
+    """Case 1: dimension 6, weights -2, -4 and 2, a two-row F^0. Case 2:
+    dimension 4, weights 0 and -2 with N an isomorphism between them. Both
+    modules and classes come from perfbench.gen at a fixed seed."""
+    code, out = run_cli(
+        ["fpn-split", "--module", str(FIXTURES / f"fpn_case{case}_module.json"),
+         "--class", str(FIXTURES / f"fpn_case{case}_class.json")],
+        capsys,
+    )
+    assert code == 0
+    assert out == golden(f"fpn_case{case}.json")
+    assert json.loads(out)["synderi"] is True
+
+
 def test_fpn_split_alias(capsys):
     code, out = run_cli(
         ["fpn", "split", "--module", str(FIXTURES / "kummer_module.json"),
@@ -200,8 +215,10 @@ FPN_VIOLATIONS = (
       "N": [["0", "1"], ["0", "0"]]}),
     ("Frobenius does not preserve the weight grading",
      {"p": 5, "weights": [-2, 2], "phi": [["1/5", "1"], ["0", "3"]], "N": [["0", "0"], ["0", "0"]]}),
-    ("phi - 1 is singular on the weight-2 summand",
+    ("phi - 1 is singular on the weight 2 summand",
      {"p": 5, "weights": [2], "phi": [["1"]], "N": [["0"]]}),
+    ("phi - 1 is singular on the weight -2 summand",
+     {"p": 5, "weights": [-2], "phi": [["1"]], "N": [["0"]]}),
     ("Frobenius is singular", {"p": 5, "weights": [0], "phi": [["0"]], "N": [["0"]]}),
     ("comparison map is singular",
      {"p": 5, "weights": [-2], "phi": [["1/5"]], "N": [["0"]], "iso": [["0"]]}),

@@ -25,10 +25,10 @@ from vologcalc.fpnmod import (
     twist_uniformizer,
     validate,
 )
-from vologcalc.linalg import is_invertible, mat_vec
+from vologcalc.linalg import is_invertible
 from vologcalc.padic import iwasawa_log, make_padic
 
-from .oracles import validate_reference
+from .oracles import dense_mat_vec, dense_mul, reduce_mod_span_reference, validate_reference
 
 
 def F(*args):
@@ -113,7 +113,7 @@ def random_cocycle(rng, M: FpnModule) -> StTriple:
     kernel element supported in weight -2."""
     n, p = M.dim, M.p
     x = [F(rng.randint(-4, 4)) for _ in range(n)]
-    nx = mat_vec(M.N, tuple(x))
+    nx = dense_mat_vec(M.N, x)
     y = [F(0)] * n
     for k in M.weight_set():
         idx = M.weight_indices(k)
@@ -145,11 +145,11 @@ def random_case2_module(rng, p=5):
         phi0 = _random_invertible(rng, d, avoid_eigene=(1, F(1, p), F(p)))
         nblk = _random_invertible(rng, d)
         # phi on weight -2 forced by the commutation rule
-        from vologcalc.linalg import gauss_solve, mat_mul
+        from vologcalc.linalg import gauss_solve
 
         ninv = [gauss_solve(nblk, [F(1) if i == j else F(0) for i in range(d)]) for j in range(d)]
         ninv = [list(col) for col in zip(*ninv)]
-        phi2 = [[v / p for v in row] for row in mat_mul(mat_mul(nblk, phi0), ninv)]
+        phi2 = [[v / p for v in row] for row in dense_mul(dense_mul(nblk, phi0), ninv)]
         shifted = [[phi2[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
         if is_invertible(shifted):
             break
@@ -272,6 +272,84 @@ def test_validate_agrees_with_reference():
     assert seen == set(VIOLATIONS)
 
 
+def _mixed_vector(rng, n, density=0.6):
+    """Entries with denominators from 1 to 36, about 1 - density of them zero."""
+    return [
+        F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 25, 36))) if rng.random() < density else F(0)
+        for _ in range(n)
+    ]
+
+
+def _mixed_matrix(rng, n):
+    """An n x n rational matrix with mixed denominators and some zero rows."""
+    return [[F(0)] * n if rng.random() < 0.2 else _mixed_vector(rng, n) for _ in range(n)]
+
+
+def _mixed_module(rng):
+    """A module of dimension 0 to 8 that need not be valid: phi and iso
+    random, N random or zero (so that N phi = p phi N holds), F^0 empty,
+    random or of full rank."""
+    n = rng.randint(0, 8)
+    f0 = rng.choice([
+        [],
+        [_mixed_vector(rng, n) for _ in range(rng.randint(1, max(1, n)))],
+        [[F(int(i == j)) + F(j, 7) * (i < j) for j in range(n)] for i in range(n)],
+    ])
+    N = _mixed_matrix(rng, n) if rng.random() < 0.5 else [[0] * n for _ in range(n)]
+    weights = [rng.choice((-4, -2, 0, 2)) for _ in range(n)]
+    return module(rng.choice((2, 3, 5, 7)), _mixed_matrix(rng, n), N, weights, f0, _mixed_matrix(rng, n))
+
+
+def test_integer_products_agree_with_dense_fractions():
+    """The scaled integer forms give what dense Fraction algebra gives: the
+    product with phi, N and I, validate's checks (N phi = p phi N first) and
+    the reduction mod F^0, on modules of dimension 0 to 8."""
+    rng = random.Random(53)
+    messages = set()
+    for _ in range(300):
+        M = _mixed_module(rng)
+        for _ in range(3):
+            v = _mixed_vector(rng, M.dim)
+            for name in ("phi", "N", "iso"):
+                assert list(M.apply(name, v)) == dense_mat_vec(getattr(M, name), v)
+            reduced = M.reduce_mod_f0(v)
+            assert list(reduced) == reduce_mod_span_reference(v, M.f0)
+            assert all(type(x) is Fraction for x in reduced)
+        got = validate(M)
+        assert got == validate_reference(M)
+        messages.add(got.split(" at ")[0] if got else None)
+    # the relation check both passes and fails, and later checks are reached
+    assert {None, "monodromy-Frobenius relation fails", "Frobenius is singular"} <= messages
+
+
+def test_padic_entries_keep_the_row_by_row_reduction():
+    """A vector with a p-adic entry (a logarithm in z) is reduced mod F^0 by
+    the generic loop: its values, digits and absolute precisions are those of
+    the row-by-row reference."""
+    rng = random.Random(59)
+    for _ in range(60):
+        M = _mixed_module(rng)
+        if not M.dim:
+            continue
+        v = _mixed_vector(rng, M.dim)
+        for i in rng.sample(range(M.dim), rng.randint(1, M.dim)):
+            v[i] = make_padic(M.p, rng.randint(-50, 50) or 1, rng.choice((1, 3, 4)), rng.randint(3, 12))
+        got, want = M.reduce_mod_f0(v), reduce_mod_span_reference(v, M.f0)
+        assert [repr(x) for x in got] == [repr(x) for x in want]
+        assert [getattr(x, "abs_prec", None) for x in got] == [getattr(x, "abs_prec", None) for x in want]
+
+
+def test_module_reads_p_as_a_prime():
+    for p in (0.5, 5.0, True):
+        with pytest.raises(ParseError):
+            module(p, [[F(1, 5)]], [[0]], [-2])
+    with pytest.raises(PreconditionError, match="6 is not prime"):
+        module(6, [[F(1, 5)]], [[0]], [-2])
+    with pytest.raises(PreconditionError, match="4 is not prime"):
+        kummer_module(4)
+    assert module("5", [[F(1, 5)]], [[0]], [-2]).p == 5
+
+
 def test_monodromy_series_stops_where_n_y_vanishes():
     """N y = 0 with N != 0: beta_poly stops after the degree-1 term, as the
     series run to the nilpotency index with its zero tail popped does."""
@@ -293,9 +371,9 @@ def test_monodromy_series_stops_where_n_y_vanishes():
         y_norm = witness.normal_form.triple.y
         full, power = [witness.normal_form.beta], y_norm
         for j in range(1, M.dim + 1):
-            image = mat_vec(M.iso, power)
+            image = dense_mat_vec(M.iso, power)
             full.append(M.reduce_mod_f0(tuple(-v / factorial(j) for v in image)))
-            power = mat_vec(M.N, power)
+            power = dense_mat_vec(M.N, power)
         while all(v == 0 for v in full[-1]):
             full.pop()
         assert witness.beta_poly == tuple(full)
