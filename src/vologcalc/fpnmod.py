@@ -25,7 +25,6 @@ p-adic entries (a logarithm), and only such a z takes the generic reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -42,6 +41,7 @@ from .linalg import (
     scaled_mat_vec,
 )
 from .padic import PadicNumber, iwasawa_log, make_padic, require_prime
+from .record import Record, setfield
 
 
 def _frac_vector(v):
@@ -60,32 +60,25 @@ def _check_shapes(what: str, n: int, f0, **matrices):
         raise PreconditionError(f"{what} F^0 vector is not of length {n}")
 
 
-@dataclass(frozen=True)
-class FpnModule:
+class FpnModule(Record):
     """Dimension-n module: matrices act on column vectors in the weight basis.
 
     Made once per module: the echelon form of F^0, and the integer forms
     (`linalg.scaled`) of phi, N, I and the projection onto D_K / F^0."""
 
-    p: int
-    phi: tuple
-    N: tuple
-    weights: tuple
-    f0: tuple
-    iso: tuple
-    _f0_echelon: tuple = field(init=False, default=None, repr=False, compare=False)
-    _scaled: dict = field(init=False, default=None, repr=False, compare=False)
+    _fields = ("p", "phi", "N", "weights", "f0", "iso")
+    __slots__ = _fields + ("_f0_echelon", "_scaled")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", require_prime(int_from_json(self.p)))
+    def __init__(self, p: int, phi: tuple, N: tuple, weights: tuple, f0: tuple, iso: tuple):
+        super().__init__(require_prime(int_from_json(p)), phi, N, weights, f0, iso)
         _check_shapes("module", self.dim, self.f0, phi=self.phi, N=self.N, iso=self.iso)
         rows, pivots = row_echelon_basis(self.f0)
         # v -> v - sum_k v[p_k] R_k: each reduced row R_k vanishes at the other pivots
         at, n = dict(zip(pivots, rows)), self.dim
         proj = [[int(i == j) - (at[j][i] if j in at else 0) for j in range(n)] for i in range(n)]
         forms = {name: scaled(getattr(self, name)) for name in ("phi", "N", "iso")}
-        object.__setattr__(self, "_f0_echelon", (rows, pivots))
-        object.__setattr__(self, "_scaled", {**forms, "f0": scaled(proj)})
+        setfield(self, "_f0_echelon", (rows, pivots))
+        setfield(self, "_scaled", {**forms, "f0": scaled(proj)})
 
     @property
     def dim(self) -> int:
@@ -187,22 +180,17 @@ def validate(M: FpnModule):
     return None
 
 
-@dataclass(frozen=True)
-class StTriple:
+class StTriple(Record):
     """Cocycle representative (x, y, z); z is a coset representative mod F^0.
 
     x and y are read as rationals, and so is z except for its PadicNumber
     entries (a logarithm); a float or a bool raises ParseError."""
 
-    x: tuple
-    y: tuple
-    z: tuple
+    __slots__ = _fields = ("x", "y", "z")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frac_vector(self.x))
-        object.__setattr__(self, "y", _frac_vector(self.y))
-        z = tuple(v if isinstance(v, PadicNumber) else to_fraction(v) for v in self.z)
-        object.__setattr__(self, "z", z)
+    def __init__(self, x: tuple, y: tuple, z: tuple):
+        x, y = _frac_vector(x), _frac_vector(y)
+        super().__init__(x, y, tuple(v if isinstance(v, PadicNumber) else to_fraction(v) for v in z))
 
 
 def check_cocycle(M: FpnModule, t: StTriple):
@@ -239,24 +227,20 @@ def add_triples(M: FpnModule, a: StTriple, b: StTriple, sign=1) -> StTriple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FpnExtension:
+class FpnExtension(Record):
     """Extension module D' of the unit object by base, in a basis whose first
     n coordinates span the base and whose last coordinate maps to 1."""
 
-    base: FpnModule
-    phi: tuple
-    N: tuple
-    iso: tuple
-    f0: tuple
+    __slots__ = _fields = ("base", "phi", "N", "iso", "f0")
 
-    def __post_init__(self):
-        n = self.base.dim
-        _check_shapes("extension", n + 1, self.f0, phi=self.phi, N=self.N, iso=self.iso)
+    def __init__(self, base: FpnModule, phi: tuple, N: tuple, iso: tuple, f0: tuple):
+        super().__init__(base, phi, N, iso, f0)
+        n = base.dim
+        _check_shapes("extension", n + 1, f0, phi=phi, N=N, iso=iso)
         for name, big, small, last in (
-            ("phi", self.phi, self.base.phi, 1),
-            ("N", self.N, self.base.N, 0),
-            ("iso", self.iso, self.base.iso, 1),
+            ("phi", phi, base.phi, 1),
+            ("N", N, base.N, 0),
+            ("iso", iso, base.iso, 1),
         ):
             for j in range(n):
                 if big[n][j] != 0:
@@ -330,12 +314,8 @@ def ext_to_triple(ext: FpnExtension, A, B) -> StTriple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    triple: StTriple
-    beta: tuple
-    rho: tuple
-    case: int
+class NormalForm(Record):
+    __slots__ = _fields = ("triple", "beta", "rho", "case")
 
 
 def _solve_weight_blocks(M: FpnModule, x) -> list:
@@ -427,13 +407,8 @@ def twist_uniformizer(M: FpnModule, ell) -> FpnModule:
     return FpnModule(M.p, M.phi, M.N, M.weights, M.f0, tuple(zip(*columns)))
 
 
-@dataclass(frozen=True)
-class SynderiWitness:
-    ok: bool
-    derivative: tuple
-    minus_iso_rho: tuple
-    beta_poly: tuple
-    normal_form: NormalForm
+class SynderiWitness(Record):
+    __slots__ = _fields = ("ok", "derivative", "minus_iso_rho", "beta_poly", "normal_form")
 
 
 def synderi_check(M: FpnModule, t: StTriple) -> SynderiWitness:

@@ -6,13 +6,15 @@ in edge order, and `degree`, `incident` and the connectivity check read it.
 `DualGraph.laplacian_matrix` is the one integer Laplacian: the height pairing
 negates it, and the Poisson solver factors it with the anchor's row and
 column deleted. That fraction-free factorization is computed once per anchor
-and held by the graph (`reduced_laplacian_factor`); graphs are immutable, so
-it never goes stale, and every later solve on the same (graph, anchor) only
-replays it. `DualGraph.resolve_anchor` is the one anchor rule (the first
-vertex unless one is named) and `solve_poisson` the one connectivity and
-zero-sum check, for every caller. `VertexFn` and `Cochain` share one
-value-map type. Cochains are antisymmetric edge functions: a value is stored
-on the chosen orientation and the accessor negates on the reversed one.
+and held by the graph (`reduced_laplacian_factor`). Graphs are immutable
+`Record`s, so a cached factor never goes stale, and every later solve on the
+same (graph, anchor) only replays it; the caches (the incidence index and
+the factors) are slots outside the compared fields.
+`DualGraph.resolve_anchor` is the one anchor rule (the first vertex unless
+one is named) and `solve_poisson` the one connectivity and zero-sum check,
+for every caller. `VertexFn` and `Cochain` share one value-map type.
+Cochains are antisymmetric edge functions: a value is stored on the chosen
+orientation and the accessor negates on the reversed one.
 Coefficients are duck-typed: rational data is solved by integer-only work
 with exact Fraction results, and anything else with exact +, -, int
 multiples, exact division by int and `== 0` true only for zero (p-adic
@@ -21,38 +23,33 @@ numbers, branch-parameter polynomials) replays the same elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .jsonutil import id_from_json, items, member, members, to_fraction
 from .linalg import bareiss_factor, bareiss_solve
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    tail: object
-    head: object
+class Edge(Record):
+    __slots__ = _fields = ("id", "tail", "head")
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    vertices: tuple
-    edges: tuple
-    connected: bool = field(init=False, default=False)
-    _incidence: dict = field(init=False, default=None, repr=False, compare=False)
-    _factors: dict = field(init=False, default=None, repr=False, compare=False)
+class DualGraph(Record):
+    _fields = ("vertices", "edges", "connected")
+    __slots__ = _fields + ("_incidence", "_factors")
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple, edges: tuple):
+        setfield(self, "vertices", vertices)
+        setfield(self, "edges", edges)
+        if not vertices:
             raise PreconditionError("graph needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise PreconditionError("duplicate vertex ids")
         seen_ids = set()
         seen_pairs = set()
-        incidence = {v: [] for v in self.vertices}
-        for e in self.edges:
+        incidence = {v: [] for v in vertices}
+        for e in edges:
             if e.id in seen_ids:
                 raise PreconditionError(f"duplicate edge id {e.id!r}")
             seen_ids.add(e.id)
@@ -68,11 +65,9 @@ class DualGraph:
             seen_pairs.add(pair)
             incidence[e.tail].append((e, 1))
             incidence[e.head].append((e, -1))
-        object.__setattr__(
-            self, "_incidence", {v: tuple(out) for v, out in incidence.items()}
-        )
-        object.__setattr__(self, "connected", self._is_connected())
-        object.__setattr__(self, "_factors", {})
+        setfield(self, "_incidence", {v: tuple(out) for v, out in incidence.items()})
+        setfield(self, "connected", self._is_connected())
+        setfield(self, "_factors", {})
 
     def _is_connected(self) -> bool:
         seen = {self.vertices[0]}
@@ -149,17 +144,17 @@ def path_graph(n: int) -> DualGraph:
     return graph(range(n), [(f"e{i}", i, i + 1) for i in range(n - 1)])
 
 
-@dataclass(frozen=True)
-class _ValueMap:
+class _ValueMap(Record):
     """Coefficient-valued map on a graph's vertices or edge ids. A subclass
     names its key set (`_keys`, in graph order) and its two error messages;
     arithmetic and equality are shared."""
 
-    graph: DualGraph
-    values: dict
+    __slots__ = _fields = ("graph", "values")
 
-    def __post_init__(self):
-        if set(self.values) != set(self._keys()):
+    def __init__(self, graph: DualGraph, values: dict):
+        setfield(self, "graph", graph)
+        setfield(self, "values", values)
+        if set(values) != set(self._keys()):
             raise PreconditionError(self._support_error)
 
     def _same_graph(self, other):
@@ -191,6 +186,8 @@ class _ValueMap:
 class VertexFn(_ValueMap):
     """Coefficient-valued function on all vertices."""
 
+    __slots__ = ()
+
     _support_error = "vertex function must be supported on all of V"
     _graph_error = "vertex functions live on different graphs"
 
@@ -203,6 +200,8 @@ class VertexFn(_ValueMap):
 
 class Cochain(_ValueMap):
     """Antisymmetric edge function; stored on the graph's chosen orientations."""
+
+    __slots__ = ()
 
     _support_error = "cochain must be supported on all of E"
     _graph_error = "cochains live on different graphs"

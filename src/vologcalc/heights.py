@@ -20,23 +20,19 @@ trace or character weighting is applied here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .graphs import DualGraph, VertexFn, solve_poisson
 from .jsonutil import frac_from_json, id_from_json, int_from_json, items, member, to_fraction
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class DivisorPoint:
-    label: str
-    multiplicity: int
-    component: object
+class DivisorPoint(Record):
+    __slots__ = _fields = ("label", "multiplicity", "component")
 
 
-@dataclass(frozen=True)
-class DivisorPlacement:
+class DivisorPlacement(Record):
     """Degree-zero divisor with per-point component assignments.
 
     horizontal_pairings maps (own point label, other divisor's point label)
@@ -44,20 +40,17 @@ class DivisorPlacement:
     are zero (distinct residue discs).
     """
 
-    points: tuple
-    horizontal_pairings: dict = field(default_factory=dict)
+    __slots__ = _fields = ("points", "horizontal_pairings")
 
-    def __post_init__(self):
-        labels = [pt.label for pt in self.points]
+    def __init__(self, points: tuple, horizontal_pairings: dict | None = None):
+        setfield(self, "points", points)
+        labels = [pt.label for pt in points]
         if len(set(labels)) != len(labels):
             raise PreconditionError("duplicate point labels in a divisor")
-        if sum(pt.multiplicity for pt in self.points) != 0:
+        if sum(pt.multiplicity for pt in points) != 0:
             raise PreconditionError("divisor must have degree zero")
-        object.__setattr__(
-            self,
-            "horizontal_pairings",
-            {k: to_fraction(v) for k, v in self.horizontal_pairings.items()},
-        )
+        pairings = {k: to_fraction(v) for k, v in (horizontal_pairings or {}).items()}
+        setfield(self, "horizontal_pairings", pairings)
 
     def point(self, label: str) -> DivisorPoint:
         for pt in self.points:

@@ -27,20 +27,18 @@ digits and precision are those of the dense replay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BareissFactor:
+class BareissFactor(Record):
     """Record of fraction-free forward elimination of a square integer matrix:
     `upper` is the eliminated matrix (upper triangular, last pivot +-det) and
     `steps` the record `_eliminate` returns."""
 
-    upper: tuple
-    steps: tuple
+    __slots__ = _fields = ("upper", "steps")
 
 
 def _eliminate(a):

@@ -22,12 +22,12 @@ the local index <F, G> = res(F dG) antisymmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LogDegreeOverflow, PreconditionError, WindowTruncation
 from .jsonutil import entries, int_from_json, member
-from .padic import PadicContext, UniversalScalar, max_exponent, scalar_from_json
+from .padic import PadicContext, PadicNumber, UniversalScalar, max_exponent, scalar_from_json
+from .record import Record, setfield
 
 DEFAULT_WINDOW = 12
 LOG_CAP = 4
@@ -64,17 +64,15 @@ def _same_terms(x: dict, y: dict, zero: UniversalScalar) -> bool:
     return all(x.get(key, zero) == y.get(key, zero) for key in x.keys() | y.keys())
 
 
-@dataclass(frozen=True)
-class AnnulusForm:
+class AnnulusForm(Record):
     """sum a_k z^k dz/z with finite support inside [-window, window]."""
 
-    ctx: PadicContext
-    coeffs: dict
-    window: int = DEFAULT_WINDOW
+    __slots__ = _fields = ("ctx", "coeffs", "window")
 
-    def __post_init__(self):
-        clean = _checked_terms(self.ctx, self.window, self.coeffs, "coefficient at", False)
-        object.__setattr__(self, "coeffs", clean)
+    def __init__(self, ctx: PadicContext, coeffs: dict, window: int = DEFAULT_WINDOW):
+        setfield(self, "ctx", ctx)
+        setfield(self, "coeffs", _checked_terms(ctx, window, coeffs, "coefficient at", False))
+        setfield(self, "window", window)
 
     def coeff(self, k: int) -> UniversalScalar:
         return self.coeffs.get(k, self.ctx.zero_scalar())
@@ -91,8 +89,7 @@ class AnnulusForm:
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class LogLaurentFunction:
+class LogLaurentFunction(Record):
     """Finite sum of c_{k,n} z^k log(z)^n, c in the branch-polynomial ring.
 
     `truncated` records that a multiplication dropped terms outside the
@@ -100,14 +97,15 @@ class LogLaurentFunction:
     can no longer be trusted.
     """
 
-    ctx: PadicContext
-    terms: dict
-    window: int = DEFAULT_WINDOW
-    truncated: bool = False
+    __slots__ = _fields = ("ctx", "terms", "window", "truncated")
 
-    def __post_init__(self):
-        clean = _checked_terms(self.ctx, self.window, self.terms, "term", True)
-        object.__setattr__(self, "terms", clean)
+    def __init__(
+        self, ctx: PadicContext, terms: dict, window: int = DEFAULT_WINDOW, truncated: bool = False
+    ):
+        setfield(self, "ctx", ctx)
+        setfield(self, "terms", _checked_terms(ctx, window, terms, "term", True))
+        setfield(self, "window", window)
+        setfield(self, "truncated", truncated)
 
     def _config(self, other):
         if self.window != other.window:
@@ -272,6 +270,10 @@ def cross_annulus_jump(
     side, C2 from the inner side; the mismatch is C1 - C2 + a_0 * L with L
     the branch parameter, because the two sides disagree exactly by
     a_0 * (log z + log w) = a_0 * log p.
+
+    L is exact, so a_0 * L only shifts a_0's coefficients up one power of L
+    and keeps every digit they have.
     """
-    lam = omega.ctx.lam()
-    return c1 - c2 + omega.residue * lam
+    a0, ctx = omega.residue, omega.ctx
+    shifted = UniversalScalar.of([PadicNumber.zero(ctx.p, 1), *a0.coeffs], min(a0.cap, ctx.lambda_cap))
+    return c1 - c2 + shifted

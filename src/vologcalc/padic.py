@@ -12,20 +12,21 @@ ever formed, and the series is bounded in integers: no float enters.
 Differentiating in L and evaluating at L = 0 therefore recovers the
 valuation v(z) exactly; that identity is the backbone of everything downstream.
 
-Values are immutable; every operation returns a fresh object and tracks
-precision explicitly: a nonzero number is known modulo p^(val + prec) and
-arithmetic never claims more digits than its inputs support.
+Values are immutable `Record`s (slotted, compared field by field); every
+operation returns a fresh object and tracks precision explicitly: a nonzero
+number is known modulo p^(val + prec) and arithmetic never claims more
+digits than its inputs support.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import LambdaDegreeOverflow, PreconditionError
 from .jsonutil import int_from_json, items, member, members, to_fraction
+from .record import Record, setfield
 
 DEFAULT_PRECISION = 20
 DEFAULT_LAMBDA_CAP = 4
@@ -78,15 +79,17 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class PadicNumber:
+class PadicNumber(Record):
     """p^val * unit known modulo p^(val + prec); unit == 0 encodes the
     distinguished exact zero (valuation +infinity by convention)."""
 
-    p: int
-    val: int
-    unit: int
-    prec: int
+    __slots__ = _fields = ("p", "val", "unit", "prec")
+
+    def __init__(self, p: int, val: int, unit: int, prec: int):
+        setfield(self, "p", p)
+        setfield(self, "val", val)
+        setfield(self, "unit", unit)
+        setfield(self, "prec", prec)
 
     @property
     def is_zero(self) -> bool:
@@ -303,8 +306,7 @@ def from_fraction_abs(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class UniversalScalar:
+class UniversalScalar(Record):
     """Element of Q_p[L]: coeffs[i] multiplies L^i, L the formal log(p).
 
     Degree is capped (default 4): running past the cap raises rather than
@@ -312,8 +314,11 @@ class UniversalScalar:
     PadicNumber; d/dL followed by evaluation at L = 0 is `derive_at_zero`.
     """
 
-    coeffs: tuple
-    cap: int = DEFAULT_LAMBDA_CAP
+    __slots__ = _fields = ("coeffs", "cap")
+
+    def __init__(self, coeffs: tuple, cap: int = DEFAULT_LAMBDA_CAP):
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "cap", cap)
 
     @property
     def p(self) -> int:
@@ -351,14 +356,18 @@ class UniversalScalar:
         return max(precs) if precs else self.coeffs[0].prec
 
     def _coerce(self, other):
+        """Lift an int or Fraction as `PadicNumber.__add__` does, at the constant's
+        absolute precision (at `_ref_prec` relative digits if it is the exact zero)."""
         if isinstance(other, UniversalScalar):
             return other
+        if isinstance(other, (int, Fraction)):
+            c = self.coeffs[0]
+            if c.is_zero:
+                other = c._coerce(other, rel_prec=self._ref_prec())
+            else:
+                other = c._coerce(other, abs_prec=c.abs_prec)
         if isinstance(other, PadicNumber):
             return UniversalScalar.of([other], self.cap)
-        if isinstance(other, (int, Fraction)):
-            return UniversalScalar.of(
-                [from_fraction(self.p, Fraction(other), self._ref_prec())], self.cap
-            )
         return None
 
     def _padded(self, other: "UniversalScalar"):
@@ -528,18 +537,16 @@ def iwasawa_log(z: PadicNumber) -> UniversalScalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(Record):
     """Working prime, precision, and branch-degree cap for one computation;
     the precision and the cap are read as `int_from_json` reads them."""
 
-    p: int
-    prec: int = DEFAULT_PRECISION
-    lambda_cap: int = DEFAULT_LAMBDA_CAP
+    __slots__ = _fields = ("p", "prec", "lambda_cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prec", int_from_json(self.prec))
-        object.__setattr__(self, "lambda_cap", int_from_json(self.lambda_cap))
+    def __init__(self, p: int, prec: int = DEFAULT_PRECISION, lambda_cap: int = DEFAULT_LAMBDA_CAP):
+        setfield(self, "p", p)
+        setfield(self, "prec", int_from_json(prec))
+        setfield(self, "lambda_cap", int_from_json(lambda_cap))
 
     def zero(self) -> PadicNumber:
         return PadicNumber.zero(self.p, self.prec)

@@ -23,38 +23,32 @@ the graph are decided in `graphs`, by `DualGraph.resolve_anchor` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
 from .graphs import Cochain, DualGraph, VertexFn, harmonic_project, solve_poisson
-from .loglaurent import AnnulusForm, cross_annulus_jump, flip_coordinate
+from .loglaurent import cross_annulus_jump, flip_coordinate
 from .padic import PadicContext, UniversalScalar
+from .record import Record
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class EdgeLocalData:
+class EdgeLocalData(Record):
     """Per-edge input: exactly one of a raw difference value or an annulus
     expansion with its two one-sided constants of integration."""
 
-    edge_id: str
-    raw_c: UniversalScalar | None = None
-    form: AnnulusForm | None = None
-    c_tail: UniversalScalar | None = None
-    c_head: UniversalScalar | None = None
+    __slots__ = _fields = ("edge_id", "raw_c", "form", "c_tail", "c_head")
 
-    def __post_init__(self):
-        has_raw = self.raw_c is not None
-        has_form = self.form is not None
-        if has_raw == has_form:
+    def __init__(self, edge_id: str, raw_c=None, form=None, c_tail=None, c_head=None):
+        super().__init__(edge_id, raw_c, form, c_tail, c_head)
+        if (raw_c is None) == (form is None):
             raise PreconditionError(
-                f"edge {self.edge_id!r}: supply either raw_c or an annulus form, not both"
+                f"edge {edge_id!r}: supply either raw_c or an annulus form, not both"
             )
-        if has_form and (self.c_tail is None or self.c_head is None):
+        if form is not None and (c_tail is None or c_head is None):
             raise PreconditionError(
-                f"edge {self.edge_id!r}: annulus data needs both constants of integration"
+                f"edge {edge_id!r}: annulus data needs both constants of integration"
             )
 
     def raw_value(self) -> UniversalScalar:
@@ -71,16 +65,13 @@ class EdgeLocalData:
         return UniversalScalar.of([-lead], self.raw_c.cap)
 
 
-@dataclass(frozen=True)
-class LocalColemanData:
-    graph: DualGraph
-    ctx: PadicContext
-    edges: tuple
-    anchor: object = None
+class LocalColemanData(Record):
+    __slots__ = _fields = ("graph", "ctx", "edges", "anchor")
 
-    def __post_init__(self):
+    def __init__(self, graph: DualGraph, ctx: PadicContext, edges: tuple, anchor=None):
+        super().__init__(graph, ctx, edges, anchor)
         ids = set()
-        for e in self.edges:
+        for e in edges:
             if e.edge_id in ids:
                 raise PreconditionError(f"edge data lists edge {e.edge_id!r} twice")
             ids.add(e.edge_id)
@@ -103,14 +94,11 @@ class LocalColemanData:
         return Cochain(self.graph, {e.edge_id: e.residue_value() for e in self.edges})
 
 
-@dataclass(frozen=True)
-class AssembledIntegral:
+class AssembledIntegral(Record):
     """Per-vertex corrections gamma and the harmonic difference cochain;
     the corrected vertex primitives are the chosen ones plus gamma."""
 
-    gamma: VertexFn
-    harmonic_cochain: Cochain
-    anchor: object
+    __slots__ = _fields = ("gamma", "harmonic_cochain", "anchor")
 
 
 def assemble(data: LocalColemanData) -> AssembledIntegral:
@@ -194,15 +182,10 @@ def iterated_derivative(
     return solve_poisson(rhs, anchor)
 
 
-@dataclass(frozen=True)
-class CurvatureTerm:
+class CurvatureTerm(Record):
     """One omega (x) eta summand of a curvature form, in graph-level data."""
 
-    c_omega: Cochain
-    c_eta: Cochain
-    res_omega: Cochain
-    res_eta: Cochain
-    indices: Cochain
+    __slots__ = _fields = ("c_omega", "c_eta", "res_omega", "res_eta", "indices")
 
 
 def bundle_valuation(

@@ -113,6 +113,19 @@ def test_volog_assemble_forms_golden(capsys):
     assert out == golden("assemble_forms.json")
 
 
+@pytest.mark.parametrize("prec", [5, 40])
+def test_volog_assemble_forms_golden_at_any_job_precision(prec, capsys, tmp_path):
+    """The job's precision is the context's; the branch parameter L is exact,
+    so a_0 * L keeps the digits of the inputs and the golden holds."""
+    job = json.loads((FIXTURES / "job_assemble_forms.json").read_text())
+    job["prec"] = prec
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out = run_cli(["volog-assemble", "--job", str(path)], capsys)
+    assert code == 0
+    assert out == golden("assemble_forms.json")
+
+
 def test_volog_ddlog_golden(capsys):
     code, out = run_cli(
         ["volog-ddlog", "--graph", str(FIXTURES / "cycle3.json"),

@@ -318,6 +318,10 @@ def test_integer_products_agree_with_dense_fractions():
         got = validate(M)
         assert got == validate_reference(M)
         messages.add(got.split(" at ")[0] if got else None)
+        # the integer forms are a cache: equality, hash and repr do not see them
+        fresh = module(M.p, M.phi, M.N, M.weights, M.f0, M.iso)
+        assert M == fresh and hash(M) == hash(fresh) and repr(M) == repr(fresh)
+        assert "_scaled" not in repr(M) and "_f0_echelon" not in repr(M)
     # the relation check both passes and fails, and later checks are reached
     assert {None, "monodromy-Frobenius relation fails", "Frobenius is singular"} <= messages
 

@@ -134,6 +134,10 @@ def test_solve_poisson_rational_data_and_anchor_cache_random():
                 assert laplacian(got) == data
             factor = g.reduced_laplacian_factor(anchor)
             assert factors.setdefault(anchor, factor) is factor
+        # the factors are a cache: equality, hash and repr do not see them
+        fresh = graph(g.vertices, [(e.id, e.tail, e.head) for e in g.edges])
+        assert g._factors and not fresh._factors
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
 
 
 def _grid(rows, cols):

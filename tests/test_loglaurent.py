@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vologcalc.errors import LogDegreeOverflow, ParseError, PreconditionError, WindowTruncation
+from vologcalc.errors import (
+    LambdaDegreeOverflow,
+    LogDegreeOverflow,
+    ParseError,
+    PreconditionError,
+    WindowTruncation,
+)
 from vologcalc.loglaurent import (
     AnnulusForm,
     LogLaurentFunction,
@@ -18,7 +24,7 @@ from vologcalc.loglaurent import (
     integrate,
     local_index,
 )
-from vologcalc.padic import PadicContext
+from vologcalc.padic import PadicContext, UniversalScalar, make_padic, scalar_to_json
 
 CTX = PadicContext(5, 12)
 
@@ -185,6 +191,20 @@ def test_cross_annulus_jump_examples():
     assert cross_annulus_jump(form({2: 3}), c1, c2) == CTX.scalar(5)
     got = cross_annulus_jump(form({0: 3}), CTX.scalar(1), CTX.scalar(4))
     assert got == CTX.scalar(-3, 3)
+
+
+def test_cross_annulus_jump_keeps_the_residue_digits():
+    """L is exact, so the jump's branch terms are a_0's coefficients, digit
+    for digit, whatever the context precision; a_0 at the degree cap still
+    overflows."""
+    ctx = PadicContext(5, 20)
+    a0 = UniversalScalar.of([make_padic(5, 7, 3, 40), make_padic(5, 10, 1, 40)], ctx.lambda_cap)
+    got = cross_annulus_jump(AnnulusForm(ctx, {0: a0}), ctx.scalar(2), ctx.scalar(1))
+    assert scalar_to_json(got) == scalar_to_json(UniversalScalar.of([ctx.scalar(1).coeffs[0], *a0.coeffs]))
+    assert got.coeffs[1].abs_prec == 40 and got.coeffs[2].abs_prec == 41
+    top = UniversalScalar.of([make_padic(5, 1, 1, 40)] * (ctx.lambda_cap + 1), ctx.lambda_cap)
+    with pytest.raises(LambdaDegreeOverflow):
+        cross_annulus_jump(AnnulusForm(ctx, {0: top}), ctx.zero_scalar(), ctx.zero_scalar())
 
 
 def test_branch_derivative_of_index_is_log_coefficient():

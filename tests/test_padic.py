@@ -311,6 +311,22 @@ def test_scalar_times_constant_is_the_one_coefficient_product(sc):
         assert scalar_to_json(s / c) == scalar_to_json(s * inverse)
 
 
+def test_scalar_lifts_a_rational_at_the_constant_absolute_precision():
+    """A constant scalar meets an int or Fraction as its PadicNumber does:
+    875 = 7 * 5^3 is known mod 5^23, and so is 875 + 1. An exact-zero
+    constant has no absolute precision; there the rational gets the
+    scalar's reference precision in relative digits, as before."""
+    x = make_padic(5, 875, 1, 20)
+    s = UniversalScalar.constant(x)
+    assert repr(s + 1) == "US[876*5^0 + O(5^23)]"
+    for c in (1, -4, Fraction(2, 7), Fraction(1, 25), 5**30):
+        assert scalar_to_json(s + c) == scalar_to_json(UniversalScalar.constant(x + c))
+        assert scalar_to_json(s - c) == scalar_to_json(UniversalScalar.constant(x - c))
+        assert scalar_to_json(c - s) == scalar_to_json(UniversalScalar.constant(c - x))
+        assert (s == c) == (x == c)
+    assert repr(lambda_scalar(5, 8) + 5) == "US[1*5^1 + O(5^9), 1*5^0 + O(5^8)]"
+
+
 def test_json_round_trip():
     x = make_padic(5, 10, 3, 6)
     assert padic_from_json(padic_to_json(x)) == x

@@ -1,14 +1,18 @@
 """The benchmark's traced entry points and the demo scripts still work, the
-package holds no float and its constructors take none, every helper in it has
-a caller, and each schema matches its subcommand's parser and output."""
+package holds no float and its constructors take none, it imports no
+`dataclasses` and every value type keeps the `Record` contract, every helper
+in it has a caller, and each schema matches its subcommand's parser and
+output."""
 
 import argparse
 import ast
 import contextlib
+import copy
 import importlib
 import io
 import json
 import pathlib
+import pickle
 import random
 import subprocess
 import sys
@@ -29,10 +33,13 @@ from vologcalc.fpnmod import (
     kummer_extension,
     kummer_module,
     module,
+    normalize_class,
+    synderi_check,
     twist_uniformizer,
     validate,
 )
 from vologcalc.graphs import (
+    Edge,
     VertexFn,
     cycle_graph,
     graph,
@@ -40,7 +47,11 @@ from vologcalc.graphs import (
     rational_vertex_fn,
     solve_poisson,
 )
-from vologcalc.padic import PadicContext, UniversalScalar, make_padic
+from vologcalc.linalg import bareiss_factor
+from vologcalc.loglaurent import AnnulusForm, LogLaurentFunction
+from vologcalc.padic import PadicContext, UniversalScalar, iwasawa_log, make_padic
+from vologcalc.record import Record
+from vologcalc.volog import CurvatureTerm, EdgeLocalData, LocalColemanData, assemble
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -139,6 +150,102 @@ def test_no_float_in_the_package():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found += [f"{where} from math import {a.name}" for a in node.names if a.name in FLOAT_MATH]
     assert not found, found
+
+
+def test_no_dataclasses_in_the_package():
+    """The value types are `Record`s: `dataclasses` (and the `inspect` it
+    imports) would cost most of the CLI's start-up."""
+    found = []
+    for path in sorted((ROOT / "src" / "vologcalc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "dataclasses"]
+    assert not found, found
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import vologcalc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def _value_types():
+    """One fresh value of each value type of the package, by class name."""
+    ctx = PadicContext(5, 12)
+    g = cycle_graph(3)
+    ones = rational_cochain(g, {"e0": 1, "e1": 1, "e2": 1})
+    data = LocalColemanData(g, ctx, tuple(EdgeLocalData(e.id, raw_c=ctx.scalar(1, 2)) for e in g.edges))
+    ext, A, B = kummer_extension(5, 1, 1)
+    M, t = ext.base, ext_to_triple(ext, A, B)
+    D = heights.divisor([("P", 1, 0), ("Q", -1, 2)], {("P", "R"): 1})
+    values = [
+        make_padic(5, 7, 3, 10),
+        iwasawa_log(make_padic(5, 50, 7, 9)),
+        ctx,
+        AnnulusForm(ctx, {0: ctx.scalar(1), 2: ctx.scalar(3)}),
+        LogLaurentFunction(ctx, {(0, 1): ctx.scalar(1), (1, 0): ctx.scalar(0, 2)}, 6, True),
+        Edge("e0", 0, 1),
+        g,
+        rational_vertex_fn(g, {0: 1, 1: -1, 2: 0}),
+        ones,
+        bareiss_factor([[2, -1], [-1, 2]]),
+        D.points[0],
+        D,
+        data.edges[0],
+        data,
+        assemble(data),
+        CurvatureTerm(c_omega=ones, c_eta=ones, res_omega=ones, res_eta=ones, indices=ones),
+        M,
+        t,
+        ext,
+        normalize_class(M, t),
+        synderi_check(M, t),
+    ]
+    return {type(v).__name__: v for v in values}
+
+
+VALUE_TYPES = _value_types()
+# The value types that hash: equal values must hash equal.
+HASHABLE = ("DivisorPoint", "DualGraph", "Edge", "FpnModule", "PadicContext", "StTriple")
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_are_immutable_records(name):
+    """Fields can be neither assigned nor deleted; keyword construction from
+    the fields gives an equal value, and a wrong field count a TypeError;
+    copy, deepcopy and pickle (every protocol) give an equal value; repr
+    shows the compared fields only, and equal values of a hashable type hash
+    equal."""
+    value = VALUE_TYPES[name]
+    cls = type(value)
+    for field in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    given = [f for f in cls._fields if f != "connected"]  # a graph derives `connected`
+    again = cls(**{f: getattr(value, f) for f in given})
+    assert again == value
+    with pytest.raises(TypeError):
+        cls(*(getattr(value, f) for f in given), None)
+    with pytest.raises(TypeError):
+        cls()
+    pickled = [pickle.loads(pickle.dumps(value, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(value), copy.deepcopy(value), *pickled):
+        assert type(twin) is cls and twin == value
+    if cls.__repr__ is Record.__repr__:
+        shown = ", ".join(f"{f}={getattr(value, f)!r}" for f in cls._fields)
+        assert repr(value) == f"{name}({shown})"
+    if name in HASHABLE:
+        assert hash(again) == hash(value)
 
 
 # Trees whose code may call into the package.
