@@ -9,9 +9,10 @@ objects, anything else is a bug and propagates. JSON values are read by the
 `jsonutil` readers, so messages name the JSON path of a bad value. `--schema`
 on any subcommand prints its input schema, the file
 `schemas/<subcommand>.json` shipped in this package.
-The environment variable VOLOG_PRECISION overrides the default working
-precision; it and `--prec` are bounded like JSON exponents of p. fpn-split
-checks the identities of its module (`fpnmod.validate`) before splitting.
+`padic-log --prec` sets the working precision (default 20), bounded like a
+JSON exponent of p; volog-assemble ignores a job's `prec`, as the digits of
+its output are those of its inputs. fpn-split checks the identities of its
+module (`fpnmod.validate`) before splitting.
 """
 
 from __future__ import annotations
@@ -56,17 +57,6 @@ from .volog import (
 )
 
 _SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "schemas")
-
-
-def _precision(p: int, flag: int | None = None) -> int:
-    """The working precision: the --prec value `flag` if given, else
-    VOLOG_PRECISION, else the default. Either is read like an integer JSON
-    field and bounded like a JSON exponent of p, so an error names its source."""
-    if flag is None:
-        source, key = dict(os.environ), "VOLOG_PRECISION"
-    else:
-        source, key = {"--prec": flag}, "--prec"
-    return member(source, key, int_from_json, 1, max_exponent(p), default=DEFAULT_PRECISION)
 
 
 def _load_json(path: str):
@@ -135,7 +125,9 @@ def _rational_cochain(g, obj, what: str) -> Cochain:
 
 def _cmd_padic_log(args) -> dict:
     p = require_prime(args.p)
-    z = make_padic(p, args.num, args.den, _precision(p, args.prec))
+    # read like an integer JSON field and bounded like an exponent of p
+    prec = member({"--prec": args.prec}, "--prec", int_from_json, 1, max_exponent(p))
+    z = make_padic(p, args.num, args.den, prec)
     lg = iwasawa_log(z)
     return {
         "p": args.p,
@@ -192,8 +184,7 @@ def _infer_prime(job) -> int:
 def _cmd_volog_assemble(args) -> dict:
     job = _load_json(args.job)
     p = _infer_prime(job)
-    prec = member(job, "prec", int_from_json, 1, max_exponent(p), default=None)
-    ctx = PadicContext(p, prec or _precision(p), args.lambda_cap)
+    ctx = PadicContext(p, DEFAULT_PRECISION, args.lambda_cap)
     g = member(job, "graph", graph_from_json)
     edges = tuple(member(job, "edges", items, _edge_from_json, ctx))
     anchor = _resolve_anchor(g, member(job, "anchor", id_from_json, default=None))
@@ -282,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--num", type=int, required=True)
     p.add_argument("--den", type=int, default=1)
-    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--prec", type=int, default=DEFAULT_PRECISION)
     common(p)
 
     p = sub.add_parser("graph-project", help="harmonic/coboundary split of a cochain")

@@ -1,9 +1,9 @@
-"""Test-local oracles, independent of the library's solver paths.
+"""Test-side oracles, independent of the library's solver paths.
 
-Everything here is textbook dense linear algebra over Fraction: plain
-Gaussian elimination with partial pivoting, a dense Laplacian matrix builder,
-and a reduced row echelon routine that also gives the rank. Acceptance checks
-compare library output against these.
+The exact linear algebra comes from the benchmark's `perfbench.oracle`, so a
+fix to an oracle reaches the benchmark and these tests at once: Poisson
+solves and `rational_solve` use its integer solve, ranks and echelon forms
+its `rref`. What stays here pins former implementations or builds inputs:
 `bareiss_reference` is the one-shot fraction-free loop that the library's
 factor-once solver replaced; it pins the p-adic results (digits and
 precision) of that solver to the original order of operations.
@@ -13,15 +13,18 @@ Frobenius matrix, which the library infers from the weight checks.
 `dense_mul` and `dense_mat_vec` are the Fraction products that the module
 layer replaced by integer products. `reduce_mod_span_reference` is the
 row-by-row reduction modulo an echelonized span, which the library keeps for
-vectors with p-adic entries.
-`iwasawa_log_reference` is the logarithm as first written: it divides the
-unit by its Teichmueller root of unity, a p^(prec-1) power mod p^prec, and
-bounds the Fraction series with a float logarithm.
+vectors with p-adic entries (`oracle.canonical_mod_span` makes every entry a
+Fraction). `iwasawa_log_reference` is the logarithm as first written: it
+divides the unit by its Teichmueller root of unity, a p^(prec-1) power mod
+p^prec, and bounds the Fraction series with a float logarithm.
+`random_connected_graph` also draws the 2-vertex graphs that
+`perfbench.gen.random_dual` cannot.
 """
 
 import math
 from fractions import Fraction
 
+from perfbench import oracle
 from vologcalc.errors import PreconditionError
 from vologcalc.padic import (
     DEFAULT_LAMBDA_CAP,
@@ -43,27 +46,6 @@ def laplacian_matrix(g):
         m[idx[e.tail]][idx[e.head]] -= 1
         m[idx[e.head]][idx[e.tail]] -= 1
     return m
-
-
-def dense_solve(matrix, rhs):
-    """Plain Gauss-Jordan over Fraction; raises on singular input."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        assert piv is not None, "singular oracle system"
-        a[col], a[piv] = a[piv], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def bareiss_reference(matrix, rhs):
@@ -96,50 +78,21 @@ def bareiss_reference(matrix, rhs):
     return x
 
 
+def rational_solve(matrix, rhs):
+    """x with M x = rhs, for a nonsingular integer M and a rational rhs: the
+    denominators are cleared once, one integer solve, one division per entry."""
+    den = math.lcm(*(Fraction(x).denominator for x in rhs))
+    (sol,), _ = oracle.integer_solve(matrix, [[int(Fraction(x) * den) for x in rhs]])
+    return [x / den for x in sol]
+
+
 def poisson_oracle(g, values, anchor):
-    """Dense anchored Poisson solve, independent of the library path."""
-    others = [v for v in g.vertices if v != anchor]
-    if not others:
-        return {anchor: Fraction(0)}
+    """Anchored Poisson solve on the benchmark's reduced Laplacian."""
     idx = {v: i for i, v in enumerate(g.vertices)}
-    lap = laplacian_matrix(g)
-    keep = [idx[v] for v in others]
-    sub = [[lap[r][c] for c in keep] for r in keep]
-    rhs = [Fraction(values[v]) for v in others]
-    sol = dense_solve(sub, rhs)
-    out = {anchor: Fraction(0)}
-    for v, x in zip(others, sol):
-        out[v] = x
-    return out
-
-
-def echelon_oracle(matrix):
-    """Reduced row echelon form by Gauss-Jordan over Fraction: (nonzero rows,
-    pivot columns)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
-        rank = len(pivots)
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        rows[rank] = [x / pivot for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows[: len(pivots)], pivots
-
-
-def rank_oracle(matrix):
-    return len(echelon_oracle(matrix)[1])
+    pairs = [(idx[e.tail], idx[e.head]) for e in g.edges]
+    others, m = oracle.reduced_laplacian(len(idx), pairs, idx[anchor])
+    sol = rational_solve(m, [values[g.vertices[i]] for i in others])
+    return {anchor: Fraction(0), **{g.vertices[i]: x for i, x in zip(others, sol)}}
 
 
 def d_star_matrix(g):
@@ -192,7 +145,7 @@ def reduce_mod_span_reference(vec, rows):
     """vec less, row by row, its pivot coordinate times each reduced echelon
     row of `rows`; a coefficient that is an exact rational zero is skipped,
     so p-adic entries see the operations that the library's loop makes."""
-    echelon, pivots = echelon_oracle(rows)
+    echelon, pivots = oracle.rref(rows)
     out = list(vec)
     for row, col in zip(echelon, pivots):
         coeff = out[col]
@@ -234,16 +187,16 @@ def validate_reference(M):
             continue
         idx = [i for i, w in enumerate(M.weights) if w == k]
         block = [[M.phi[i][j] - (1 if i == j else 0) for j in idx] for i in idx]
-        if rank_oracle(block) != len(idx):
+        if len(oracle.rref(block)[1]) != len(idx):
             return f"phi - 1 is singular on the weight {k} summand"
     power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(n):
         power = dense_mul(M.N, power)
     if any(any(v != 0 for v in row) for row in power):
         return "monodromy operator is not nilpotent"
-    if rank_oracle(M.phi) != n:
+    if len(oracle.rref(M.phi)[1]) != n:
         return "Frobenius is singular"
-    if rank_oracle(M.iso) != n:
+    if len(oracle.rref(M.iso)[1]) != n:
         return "comparison map is singular"
     return None
 

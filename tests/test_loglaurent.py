@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,14 @@ from vologcalc.loglaurent import (
     integrate,
     local_index,
 )
-from vologcalc.padic import PadicContext, UniversalScalar, make_padic, scalar_to_json
+from vologcalc.padic import (
+    PadicContext,
+    PadicNumber,
+    UniversalScalar,
+    _vp,
+    make_padic,
+    scalar_to_json,
+)
 
 CTX = PadicContext(5, 12)
 
@@ -274,3 +282,85 @@ def test_form_from_json_decodes_literal_json():
         with pytest.raises(exc) as info:
             form_from_json(bad, CTX)
         assert info.value.path == path, bad
+
+
+# -- each operation loses only its inherent digits ------------------------------
+
+
+@st.composite
+def inexact(draw, p):
+    """p^val * unit at a random relative precision; one in eight is the exact
+    zero."""
+    prec = draw(st.integers(1, 20))
+    if draw(st.integers(0, 7)) == 0:
+        return PadicNumber.zero(p, prec)
+    unit = draw(st.integers(0, p ** (prec - 1) - 1)) * p + draw(st.integers(1, p - 1))
+    return PadicNumber(p, draw(st.integers(-4, 4)), unit, prec)
+
+
+@st.composite
+def scalars(draw, p):
+    return UniversalScalar.of(draw(st.lists(inexact(p), min_size=1, max_size=3)))
+
+
+def abs_precs(x):
+    """Absolute precision of the L^0 .. L^5 coefficients of a p-adic number or
+    a scalar; an absent coefficient is exact."""
+    coeffs = x.coeffs if isinstance(x, UniversalScalar) else (x,)
+    return [c.abs_prec for c in coeffs] + [math.inf] * (6 - len(coeffs))
+
+
+def at_least(got, bound) -> bool:
+    return all(g >= b for g, b in zip(abs_precs(got), bound))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_ring_operations_lose_only_their_inherent_digits(data):
+    """+ and - keep the least absolute precision, an exact operand costs
+    nothing, and multiplying by an exact integer c adds v_p(c)."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    kind = data.draw(st.sampled_from((inexact, scalars)))
+    x, y = data.draw(kind(p)), data.draw(kind(p))
+    c = data.draw(st.integers(-(10**4), 10**4).filter(bool))
+    q = Fraction(c, data.draw(st.integers(1, 50)))
+    px, py = abs_precs(x), abs_precs(y)
+    for got in (x + y, x - y):
+        assert at_least(got, [min(a, b) for a, b in zip(px, py)]), (x, y, got)
+    # the exact zero plus a rational is a lift of the rational, so where x's
+    # constant is that zero only its other coefficients are bounded
+    constant = x.coeffs[0] if kind is scalars else x
+    bound = [-math.inf] + px[1:] if constant.is_zero else px
+    for got in (x + q, q + x, x - q):
+        assert at_least(got, bound), (x, q, got)
+    v = _vp(c, p)
+    for got in (x * c, c * x):
+        assert at_least(got, [a + v for a in px]), (x, c, got)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_calculus_loses_only_its_inherent_digits(data):
+    """`integrate` loses v_p(k) on z^k and nothing on the constant,
+    `flip_coordinate` shifts each absolute precision by exactly k and keeps
+    the relative one, and `cross_annulus_jump` keeps the least absolute
+    precision of its inputs."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    ctx = PadicContext(p, 20)
+    omega = AnnulusForm(ctx, data.draw(st.dictionaries(st.integers(-6, 6), scalars(p), max_size=4)))
+    c1, c2 = data.draw(scalars(p)), data.draw(scalars(p))
+    F = integrate(omega, c1)
+    for k, a in omega.coeffs.items():
+        got = F.terms[(k, 0) if k else (0, 1)]
+        assert at_least(got, [b - (_vp(k, p) if k else 0) for b in abs_precs(a)]), (k, a, got)
+    if not c1.is_zero:
+        assert at_least(F.terms[(0, 0)], abs_precs(c1))
+    flipped = flip_coordinate(omega)
+    for k, a in omega.coeffs.items():
+        got = flipped.coeffs[-k]
+        assert abs_precs(got) == [b + k for b in abs_precs(a)], (k, a, got)
+        assert [x.prec for x in got.coeffs] == [x.prec for x in a.coeffs]
+    jump = cross_annulus_jump(omega, c1, c2)
+    shifted = [math.inf] + abs_precs(omega.residue)
+    bound = [min(s, t, r) for s, t, r in zip(abs_precs(c1), abs_precs(c2), shifted)]
+    assert at_least(jump, bound), (omega.residue, c1, c2, jump)

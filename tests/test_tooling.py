@@ -1,4 +1,5 @@
 """The benchmark's traced entry points and the demo scripts still work, the
+library's height_table and fpn-split jobs pass the benchmark's oracle, the
 package holds no float and its constructors take none, it imports no
 `dataclasses` and every value type keeps the `Record` contract, every helper
 in it has a caller, and each schema matches its subcommand's parser and
@@ -124,6 +125,19 @@ def test_log_split_modules_are_valid(tmp_path):
         assert validate(M) is None, (case, dim)
     jobs = [job for job in gen.log_split_round(11, 0, str(tmp_path)) if job.kind == "fpn-split"]
     assert len(jobs) == 32
+    prepare(jobs, vologcalc)
+    verdicts = verify(jobs, [execute(job, vologcalc) for job in jobs], None)
+    assert [i for i, v in enumerate(verdicts) if not v.ok] == []
+
+
+@pytest.mark.parametrize("seed", [11, 5])
+def test_height_table_round_passes_the_benchmark_oracle(seed, tmp_path):
+    """Round 0 of the height_table workload, run and checked the way the
+    benchmark does: height tables, ddlog rows and iterated rows, each against
+    the benchmark's exact Poisson oracle."""
+    jobs = gen.height_round(seed, 0, str(tmp_path))
+    assert len(jobs) == 14
+    assert {job.kind for job in jobs} == {"height-table", "ddlog-row", "iterated-row"}
     prepare(jobs, vologcalc)
     verdicts = verify(jobs, [execute(job, vologcalc) for job in jobs], None)
     assert [i for i, v in enumerate(verdicts) if not v.ok] == []
