@@ -21,7 +21,10 @@ multiplier only multiplies the row's pending exact scale by pivot/prev,
 which is applied in one multiplication when the row next meets a nonzero
 multiplier or becomes the pivot row, and back substitution skips the zero
 entries of the eliminated matrix. Cost follows the nonzeros of the factor;
-digits and precision are those of the dense replay.
+digits and precision are those of the dense replay. Each nonzero multiplier
+costs one pass over the coefficients for each of four operations: two exact
+integer scalings, one signed sum and one exact division by the previous
+pivot (the `padic` rules, which build no lifted product per coefficient).
 """
 
 from __future__ import annotations

@@ -16,6 +16,14 @@ Values are immutable `Record`s (slotted, compared field by field); every
 operation returns a fresh object and tracks precision explicitly: a nonzero
 number is known modulo p^(val + prec) and arithmetic never claims more
 digits than its inputs support.
+
+Two rules keep the branch ring cheap. Scaling by an exact int or Fraction q
+(`UniversalScalar * q`, `/ q`) lifts q once and writes each nonzero
+coefficient as (val + v_p(q), unit * unit(q) mod p^prec, prec): it keeps
+relative precision and costs v_p(q) in absolute precision. A zero
+coefficient becomes `zero(p, 1)`, the scalar's rule for a zero until a
+finite-precision zero model replaces it. And x - y is one signed sum
+(`__add__` with sign -1), never a negation followed by a sum.
 """
 
 from __future__ import annotations
@@ -131,23 +139,25 @@ class PadicNumber(Record):
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other):
-        ref = self.prec if self.is_zero else self.abs_prec
-        other = self._coerce(other, abs_prec=ref)
-        if other is None:
-            return NotImplemented
+    def __add__(self, other, sign=1):
+        """self + sign * other for sign +-1: `-` is this one signed sum too,
+        so one place decides the precision of a sum."""
+        if not isinstance(other, PadicNumber):
+            other = self._coerce(other, abs_prec=self.prec if self.is_zero else self.abs_prec)
+            if other is None:
+                return NotImplemented
         self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
+        if not self.unit:
+            return other if sign == 1 else -other
+        if not other.unit:
             return self
-        m = min(self.abs_prec, other.abs_prec)
+        m = min(self.val + self.prec, other.val + other.prec)
         v0 = min(self.val, other.val)
         k = m - v0
         pk = self.p**k
         r = (
             self.unit * self.p ** (self.val - v0)
-            + other.unit * self.p ** (other.val - v0)
+            + sign * other.unit * self.p ** (other.val - v0)
         ) % pk
         if r == 0:
             return PadicNumber.zero(self.p, k)
@@ -164,9 +174,7 @@ class PadicNumber(Record):
         return PadicNumber(self.p, self.val, self.p**self.prec - self.unit, self.prec)
 
     def __sub__(self, other):
-        if isinstance(other, (PadicNumber, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -374,12 +382,13 @@ class UniversalScalar(Record):
         """Coefficient pairs of self and other, the shorter padded with zeros."""
         return zip_longest(self.coeffs, other.coeffs, fillvalue=PadicNumber.zero(self.p, 1))
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other, coefficient by coefficient (`PadicNumber.__add__`)."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return UniversalScalar.of(
-            [x + y for x, y in self._padded(other)], min(self.cap, other.cap)
+            [x.__add__(y, sign) for x, y in self._padded(other)], min(self.cap, other.cap)
         )
 
     def __radd__(self, other):
@@ -389,23 +398,31 @@ class UniversalScalar(Record):
         return UniversalScalar.of([-c for c in self.coeffs], self.cap)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.__add__(-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def _scaled(self, q, inverse=False):
+        """self * q, or self / q if `inverse`, for an int or Fraction q: the
+        convolution below with q lifted once at `_ref_prec` as its one
+        coefficient, without building it. A nonzero coefficient keeps its
+        relative precision, so it costs v_p(q) in absolute precision, and a
+        unit factor leaves the last coefficient nonzero."""
+        p, a0 = self.p, self.coeffs[0]
+        if q == 0:
+            return UniversalScalar((PadicNumber.zero(p, 1 if a0.is_zero else a0.prec),), self.cap)
+        c = from_fraction(p, q, self._ref_prec())
+        v, u = (-c.val, pow(c.unit, -1, p**c.prec)) if inverse else (c.val, c.unit)
+        return UniversalScalar(tuple([
+            PadicNumber(p, a.val + v, a.unit * u % p**a.prec, a.prec) if a.unit
+            else PadicNumber.zero(p, 1)
+            for a in self.coeffs
+        ]), self.cap)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # a constant scales each coefficient: the convolution below with
-            # a one-coefficient factor, without building it
-            p = self.p
-            c = from_fraction(p, Fraction(other), self._ref_prec())
-            return UniversalScalar.of(
-                [PadicNumber.zero(p, 1) if a.is_zero else a * c for a in self.coeffs], self.cap
-            )
+            return self._scaled(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -424,12 +441,10 @@ class UniversalScalar(Record):
 
     def __truediv__(self, other):
         """Division by a constant (int, Fraction, or PadicNumber)."""
-        if isinstance(other, int):
-            other = Fraction(other)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a scalar by zero")
-            return self * (1 / other)
+            return self._scaled(other, inverse=True)
         if isinstance(other, PadicNumber):
             return UniversalScalar.of([c / other for c in self.coeffs], self.cap)
         return NotImplemented

@@ -40,6 +40,7 @@ for _case in (1, 2):
         ["fpn-split", "--module", f"fpn_case{_case}_module.json",
          "--class", f"fpn_case{_case}_class.json"],
     )
+GOLDEN_ARGV.setdefault("assemble_grid5.json", ["volog-assemble", "--job", "job_assemble_grid5.json"])
 
 # top-level output keys that a golden fixes, checked on the decoded output too
 GOLDEN_FACTS = {
@@ -50,6 +51,7 @@ GOLDEN_FACTS = {
     "fpn_kummer.json": {"beta": ["7/2"], "rho": ["1"], "synderi": True},
     "fpn_case1.json": {"synderi": True},
     "fpn_case2.json": {"synderi": True},
+    "assemble_grid5.json": {"anchor": "v14"},
 }
 
 
@@ -61,7 +63,11 @@ def fixture_argv(argv):
 def test_golden_output(name, capsys):
     """fpn_case1 and fpn_case2 are modules from perfbench.gen at a fixed seed:
     dimension 6 with weights -2, -4 and 2 and a two-row F^0, and dimension 4
-    with weights 0 and -2 and N an isomorphism between them."""
+    with weights 0 and -2 and N an isomorphism between them. assemble_grid5
+    is a perfbench.gen assemble job on a relabelled 5x5 grid at p = 3 with
+    20-digit inputs, L-degree 2 and anchor v14; its output passes
+    `oracle.check_assemble`, and it pins the p-adic Poisson solve's digits,
+    deferred scales and zero precisions on a 24 x 24 reduced Laplacian."""
     code, out = run_cli(fixture_argv(GOLDEN_ARGV[name]), capsys)
     assert code == 0
     assert out == golden(name)

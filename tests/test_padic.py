@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -286,11 +287,11 @@ def test_precision_never_grows_along_chains(data):
 
 
 @st.composite
-def scalars_and_constants(draw):
+def scalars_and_constants(draw, p=None):
     """A branch polynomial with exact-zero (any precision), interior-zero and
     negative-valuation coefficients, and an int or Fraction constant that may
-    be 0 or carry p in its numerator or denominator."""
-    p = draw(st.sampled_from(PRIMES))
+    be 0 or carry p in its numerator or denominator; p is drawn unless given."""
+    p = draw(st.sampled_from(PRIMES if p is None else [p]))
     coeffs = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         prec = draw(st.integers(min_value=1, max_value=12))
@@ -318,6 +319,24 @@ def test_scalar_times_constant_is_the_one_coefficient_product(sc):
     if c != 0:
         inverse = UniversalScalar.of([from_fraction(s.p, 1 / Fraction(c), s._ref_prec())])
         assert scalar_to_json(s / c) == scalar_to_json(s * inverse)
+
+
+@given(st.sampled_from(PRIMES).flatmap(
+    lambda p: st.tuples(scalars_and_constants(p), scalars_and_constants(p))
+))
+@settings(max_examples=300)
+def test_subtraction_is_one_signed_sum(pair):
+    """x - y, x - c and c - x agree field for field, zero precisions
+    included, with x + (-y), x + (-c) and (-x) + c: for branch polynomials of
+    unequal lengths and for every pair of their coefficients."""
+    (s, c), (t, _) = pair
+    assert scalar_to_json(s - t) == scalar_to_json(s + (-t))
+    assert scalar_to_json(s - c) == scalar_to_json(s + (-c))
+    assert scalar_to_json(c - s) == scalar_to_json((-s) + c)
+    for x, y in itertools.product(s.coeffs, t.coeffs):
+        assert padic_to_json(x - y) == padic_to_json(x + (-y))
+        assert padic_to_json(x - c) == padic_to_json(x + (-c))
+        assert padic_to_json(c - x) == padic_to_json((-x) + c)
 
 
 def test_scalar_lifts_a_rational_at_the_constant_absolute_precision():

@@ -1,9 +1,9 @@
 """The benchmark's traced entry points and the demo scripts still work, the
-library's height_table and fpn-split jobs pass the benchmark's oracle, the
-package holds no float and its constructors take none, it imports no
-`dataclasses` and every value type keeps the `Record` contract, every helper
-in it has a caller, and each schema matches its subcommand's parser and
-output."""
+library's height_table, fpn-split and assemble_grid jobs and the grid
+assemble golden pass the benchmark's oracle, the package holds no float and
+its constructors take none, it imports no `dataclasses` and every value type
+keeps the `Record` contract, every helper in it has a caller, and each
+schema matches its subcommand's parser and output."""
 
 import argparse
 import ast
@@ -22,7 +22,7 @@ import pytest
 
 import vologcalc
 import vologcalc.cli  # noqa: F401 -- Tracer.install wraps entry points in every layer
-from perfbench import gen
+from perfbench import gen, oracle
 from perfbench.run import GOLDEN, execute, prepare, verify
 from perfbench.trace import ENTRY_POINTS, Tracer
 from vologcalc import heights
@@ -141,6 +141,37 @@ def test_height_table_round_passes_the_benchmark_oracle(seed, tmp_path):
     prepare(jobs, vologcalc)
     verdicts = verify(jobs, [execute(job, vologcalc) for job in jobs], None)
     assert [i for i, v in enumerate(verdicts) if not v.ok] == []
+
+
+def test_assemble_grid_round_passes_the_benchmark_oracle(tmp_path):
+    """Round 0 of the assemble_grid workload at seed 11 and the benchmark's
+    input precision, run and checked the way the benchmark does: grids,
+    random graphs and necklaces, each output against the exact residual
+    checks of `oracle.check_assemble`."""
+    jobs = gen.assemble_round(11, 0, str(tmp_path), gen.PRECISION)
+    assert len(jobs) == 25
+    prepare(jobs, vologcalc)
+    verdicts = verify(jobs, [execute(job, vologcalc) for job in jobs], oracle.DetCache())
+    assert [i for i, v in enumerate(verdicts) if not v.ok] == []
+
+
+def test_the_grid_assemble_golden_passes_the_benchmark_oracle():
+    """The golden output of job_assemble_grid5 claims no wrong digit: the
+    exact raw cochain C_head - C_tail - a_0 L is read back from the job, as
+    `gen.assemble_job` builds it, and the golden is checked against it."""
+    job = json.loads((ROOT / "fixtures" / "job_assemble_grid5.json").read_text())
+    out = json.loads((ROOT / "fixtures" / "golden" / "assemble_grid5.json").read_text())
+    index = {v: i for i, v in enumerate(job["graph"]["vertices"])}
+    pairs = [(index[e["tail"]], index[e["head"]]) for e in job["graph"]["edges"]]
+    c, precs = [], []
+    for edge in job["edges"]:
+        polys = [oracle.parse_scalar(x) for x in (edge["C_tail"], edge["C_head"], edge["form"]["coeffs"]["0"])]
+        tail, head, a0 = ([x for x, _ in poly] for poly in polys)
+        c.append(gen.poly_sub(gen.poly_sub(head, tail), [0] + a0))
+        precs += [prec for poly in polys for _, prec in poly]
+    expect = {"p": job["p"], "n": len(index), "pairs": pairs, "c": c, "in_prec": min(precs)}
+    assert out["anchor"] == job["anchor"] == "v14"
+    assert oracle.check_assemble(out, expect, oracle.DetCache()).ok
 
 
 # Float-valued math names that must not reach the exact core. math.inf stays
