@@ -38,7 +38,6 @@ from .jsonutil import (
 )
 from .loglaurent import form_from_json
 from .padic import (
-    DEFAULT_LAMBDA_CAP,
     DEFAULT_PRECISION,
     PadicContext,
     iwasawa_log,
@@ -79,12 +78,6 @@ def _emit(payload: dict, output_path: str | None) -> None:
             raise ParseError(f"cannot write {output_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _nonnegative_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
 
 
 def _keyed_by(ids, values: dict, what: str, kind: str) -> dict:
@@ -148,12 +141,12 @@ def _cmd_graph_project(args) -> dict:
 def _edge_from_json(entry, ctx: PadicContext) -> EdgeLocalData:
     eid = member(entry, "id", id_from_json)
     if "raw_c" in entry:
-        return EdgeLocalData(eid, raw_c=member(entry, "raw_c", scalar_from_json, ctx.lambda_cap))
+        return EdgeLocalData(eid, raw_c=member(entry, "raw_c", scalar_from_json))
     return EdgeLocalData(
         eid,
         form=member(entry, "form", form_from_json, ctx),
-        c_tail=member(entry, "C_tail", scalar_from_json, ctx.lambda_cap),
-        c_head=member(entry, "C_head", scalar_from_json, ctx.lambda_cap),
+        c_tail=member(entry, "C_tail", scalar_from_json),
+        c_head=member(entry, "C_head", scalar_from_json),
     )
 
 
@@ -184,7 +177,7 @@ def _infer_prime(job) -> int:
 def _cmd_volog_assemble(args) -> dict:
     job = _load_json(args.job)
     p = _infer_prime(job)
-    ctx = PadicContext(p, DEFAULT_PRECISION, args.lambda_cap)
+    ctx = PadicContext(p)
     g = member(job, "graph", graph_from_json)
     edges = tuple(member(job, "edges", items, _edge_from_json, ctx))
     anchor = _resolve_anchor(g, member(job, "anchor", id_from_json, default=None))
@@ -237,10 +230,6 @@ def _cmd_height_local(args) -> dict:
 def _cmd_fpn_split(args) -> dict:
     M = module_from_json(_load_json(args.module))
     t = triple_from_json(_load_json(args.class_file))
-    if not len(t.x) == len(t.y) == len(t.z) == M.dim:
-        raise PreconditionError(
-            f"class vectors x, y, z must each have the module dimension {M.dim}"
-        )
     violation = validate(M)
     if violation is not None:
         raise PreconditionError(violation)
@@ -284,9 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volog-assemble", help="assemble an integral from local data")
     p.add_argument("--job", required=True)
-    p.add_argument(
-        "--lambda-cap", type=_nonnegative_int, default=DEFAULT_LAMBDA_CAP, dest="lambda_cap"
-    )
     common(p)
 
     p = sub.add_parser("volog-ddlog", help="branch derivative from vertex residues")

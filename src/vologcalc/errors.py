@@ -43,8 +43,9 @@ class PrecisionOverflow(ArithmeticError):
 
 
 class _DegreeOverflow(PrecisionOverflow):
-    """A formal degree exceeded its configured cap; each subclass names the
-    degree in `what`."""
+    """A formal degree exceeded its cap; each subclass names the degree in
+    `what`. Both caps are module constants, and the message keeps the words
+    "configured cap" because error objects carry it to stdout."""
 
     def __init__(self, degree: int, cap: int):
         self.degree = degree
@@ -53,13 +54,13 @@ class _DegreeOverflow(PrecisionOverflow):
 
 
 class LambdaDegreeOverflow(_DegreeOverflow):
-    """Polynomial degree in the branch parameter exceeded the configured cap."""
+    """Polynomial degree in the branch parameter exceeded `padic.LAMBDA_CAP`."""
 
     what = "branch-parameter degree"
 
 
 class LogDegreeOverflow(_DegreeOverflow):
-    """log(z)-degree of a Laurent term exceeded the configured cap."""
+    """log(z)-degree of a Laurent term exceeded `loglaurent.LOG_CAP`."""
 
     what = "log-degree"
 

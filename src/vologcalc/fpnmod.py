@@ -194,6 +194,12 @@ class StTriple(Record):
 
 
 def check_cocycle(M: FpnModule, t: StTriple):
+    """PreconditionError unless x, y and z each have M's dimension and
+    N x + (1 - p phi) y = 0."""
+    if not len(t.x) == len(t.y) == len(t.z) == M.dim:
+        raise PreconditionError(
+            f"class vectors x, y, z must each have the module dimension {M.dim}"
+        )
     lhs = M.apply("N", t.x)
     y_part = [t.y[i] - M.p * v for i, v in enumerate(M.apply("phi", t.y))]
     for i in range(M.dim):
@@ -384,6 +390,7 @@ def change_uniformizer_class(t: StTriple, ell, M: FpnModule) -> StTriple:
     """Effect on a triple of moving the comparison map to I o exp(ell N):
     z picks up -sum_{j >= 1} ell^j / j! * I N^{j-1} y; the exponential
     truncates at the nilpotency index, so this is exact."""
+    check_cocycle(M, t)
     ell = to_fraction(ell)
     z = list(t.z)
     for j, iv in _monodromy_series(M, t.y):

@@ -255,8 +255,7 @@ def flip_coordinate(omega: AnnulusForm) -> AnnulusForm:
 
 def form_from_json(obj, ctx: PadicContext) -> AnnulusForm:
     """A form {"coeffs": {"k": scalar}, "window": M}; both keys are optional."""
-    cap = ctx.lambda_cap
-    coeffs = member(obj, "coeffs", entries, int_from_json, scalar_from_json, cap, default={})
+    coeffs = member(obj, "coeffs", entries, int_from_json, scalar_from_json, default={})
     window = member(obj, "window", int_from_json, 0, max_exponent(ctx.p), default=DEFAULT_WINDOW)
     return AnnulusForm(ctx, coeffs, window)
 
@@ -274,6 +273,5 @@ def cross_annulus_jump(
     L is exact, so a_0 * L only shifts a_0's coefficients up one power of L
     and keeps every digit they have.
     """
-    a0, ctx = omega.residue, omega.ctx
-    shifted = UniversalScalar.of([PadicNumber.zero(ctx.p, 1), *a0.coeffs], min(a0.cap, ctx.lambda_cap))
+    shifted = UniversalScalar.of([PadicNumber.zero(omega.ctx.p, 1), *omega.residue.coeffs])
     return c1 - c2 + shifted

@@ -2,7 +2,9 @@
 
 Scalars live in Q_p[L], polynomials in a formal variable L standing for the
 undetermined value of log(p) (equivalently log(pi), since the uniformizer is
-fixed to p throughout). The Iwasawa logarithm of z decomposes as
+fixed to p throughout), of degree at most the constant LAMBDA_CAP = 4 (a
+higher degree raises LambdaDegreeOverflow, as a Laurent term's log-degree
+past `loglaurent.LOG_CAP` does). The Iwasawa logarithm of z decomposes as
 
     log(z) = log(<u>) + v(z) * L,      u = z / p^v(z),
 
@@ -37,7 +39,7 @@ from .jsonutil import int_from_json, items, member, members, to_fraction
 from .record import Record, setfield
 
 DEFAULT_PRECISION = 20
-DEFAULT_LAMBDA_CAP = 4
+LAMBDA_CAP = 4
 
 
 # Miller-Rabin on the prime bases 2..41 decides primality exactly below
@@ -317,16 +319,15 @@ def from_fraction_abs(p: int, q: Fraction, abs_precision: int) -> PadicNumber:
 class UniversalScalar(Record):
     """Element of Q_p[L]: coeffs[i] multiplies L^i, L the formal log(p).
 
-    Degree is capped (default 4): running past the cap raises rather than
-    silently truncating. Dropping all L-terms is a ring homomorphism to
+    Degree is at most the constant LAMBDA_CAP: running past it raises rather
+    than silently truncating. Dropping all L-terms is a ring homomorphism to
     PadicNumber; d/dL followed by evaluation at L = 0 is `derive_at_zero`.
     """
 
-    __slots__ = _fields = ("coeffs", "cap")
+    __slots__ = _fields = ("coeffs",)
 
-    def __init__(self, coeffs: tuple, cap: int = DEFAULT_LAMBDA_CAP):
+    def __init__(self, coeffs: tuple):
         setfield(self, "coeffs", coeffs)
-        setfield(self, "cap", cap)
 
     @property
     def p(self) -> int:
@@ -341,7 +342,7 @@ class UniversalScalar(Record):
         return all(c.is_zero for c in self.coeffs)
 
     @staticmethod
-    def of(coeffs, cap: int = DEFAULT_LAMBDA_CAP) -> "UniversalScalar":
+    def of(coeffs) -> "UniversalScalar":
         coeffs = list(coeffs)
         if not coeffs:
             raise PreconditionError("a scalar needs at least one coefficient")
@@ -351,13 +352,13 @@ class UniversalScalar(Record):
                 raise PreconditionError("mixed primes inside one scalar")
         while len(coeffs) > 1 and coeffs[-1].is_zero:
             coeffs.pop()
-        if len(coeffs) - 1 > cap:
-            raise LambdaDegreeOverflow(len(coeffs) - 1, cap)
-        return UniversalScalar(tuple(coeffs), cap)
+        if len(coeffs) - 1 > LAMBDA_CAP:
+            raise LambdaDegreeOverflow(len(coeffs) - 1, LAMBDA_CAP)
+        return UniversalScalar(tuple(coeffs))
 
     @staticmethod
-    def constant(c: PadicNumber, cap: int = DEFAULT_LAMBDA_CAP) -> "UniversalScalar":
-        return UniversalScalar.of([c], cap)
+    def constant(c: PadicNumber) -> "UniversalScalar":
+        return UniversalScalar.of([c])
 
     def _ref_prec(self) -> int:
         precs = [c.prec for c in self.coeffs if not c.is_zero]
@@ -375,7 +376,7 @@ class UniversalScalar(Record):
             else:
                 other = c._coerce(other, abs_prec=c.abs_prec)
         if isinstance(other, PadicNumber):
-            return UniversalScalar.of([other], self.cap)
+            return UniversalScalar.of([other])
         return None
 
     def _padded(self, other: "UniversalScalar"):
@@ -387,15 +388,13 @@ class UniversalScalar(Record):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return UniversalScalar.of(
-            [x.__add__(y, sign) for x, y in self._padded(other)], min(self.cap, other.cap)
-        )
+        return UniversalScalar.of([x.__add__(y, sign) for x, y in self._padded(other)])
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return UniversalScalar.of([-c for c in self.coeffs], self.cap)
+        return UniversalScalar.of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -411,14 +410,14 @@ class UniversalScalar(Record):
         unit factor leaves the last coefficient nonzero."""
         p, a0 = self.p, self.coeffs[0]
         if q == 0:
-            return UniversalScalar((PadicNumber.zero(p, 1 if a0.is_zero else a0.prec),), self.cap)
+            return UniversalScalar((PadicNumber.zero(p, 1 if a0.is_zero else a0.prec),))
         c = from_fraction(p, q, self._ref_prec())
         v, u = (-c.val, pow(c.unit, -1, p**c.prec)) if inverse else (c.val, c.unit)
         return UniversalScalar(tuple([
             PadicNumber(p, a.val + v, a.unit * u % p**a.prec, a.prec) if a.unit
             else PadicNumber.zero(p, 1)
             for a in self.coeffs
-        ]), self.cap)
+        ]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -426,7 +425,6 @@ class UniversalScalar(Record):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        cap = min(self.cap, other.cap)
         p = self.p
         out = [PadicNumber.zero(p, 1) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
@@ -434,7 +432,7 @@ class UniversalScalar(Record):
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UniversalScalar.of(out, cap)
+        return UniversalScalar.of(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -446,11 +444,11 @@ class UniversalScalar(Record):
                 raise ZeroDivisionError("division of a scalar by zero")
             return self._scaled(other, inverse=True)
         if isinstance(other, PadicNumber):
-            return UniversalScalar.of([c / other for c in self.coeffs], self.cap)
+            return UniversalScalar.of([c / other for c in self.coeffs])
         return NotImplemented
 
     def scale_p_power(self, k: int) -> "UniversalScalar":
-        return UniversalScalar.of([c.scale_p_power(k) for c in self.coeffs], self.cap)
+        return UniversalScalar.of([c.scale_p_power(k) for c in self.coeffs])
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -467,10 +465,8 @@ class UniversalScalar(Record):
     def derivative(self) -> "UniversalScalar":
         """Formal d/dL."""
         if len(self.coeffs) == 1:
-            return UniversalScalar.of([PadicNumber.zero(self.p, self.coeffs[0].prec)], self.cap)
-        return UniversalScalar.of(
-            [i * c for i, c in enumerate(self.coeffs) if i >= 1], self.cap
-        )
+            return UniversalScalar.of([PadicNumber.zero(self.p, self.coeffs[0].prec)])
+        return UniversalScalar.of([i * c for i, c in enumerate(self.coeffs) if i >= 1])
 
     def derive_at_zero(self) -> PadicNumber:
         """Coefficient of L^1: the branch derivative evaluated at L = 0."""
@@ -495,11 +491,9 @@ def derive_at_zero(x: UniversalScalar) -> PadicNumber:
     return x.derive_at_zero()
 
 
-def lambda_scalar(p: int, prec: int = DEFAULT_PRECISION, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScalar:
+def lambda_scalar(p: int, prec: int = DEFAULT_PRECISION) -> UniversalScalar:
     """The formal branch parameter L itself."""
-    return UniversalScalar.of(
-        [PadicNumber.zero(p, prec), make_padic(p, 1, 1, prec)], cap
-    )
+    return UniversalScalar.of([PadicNumber.zero(p, prec), make_padic(p, 1, 1, prec)])
 
 
 def _one_unit_log(p: int, one_unit: int, abs_prec: int) -> PadicNumber:
@@ -553,15 +547,14 @@ def iwasawa_log(z: PadicNumber) -> UniversalScalar:
 
 
 class PadicContext(Record):
-    """Working prime, precision, and branch-degree cap for one computation;
-    the precision and the cap are read as `int_from_json` reads them."""
+    """Working prime and precision for one computation; the precision is
+    read as `int_from_json` reads it."""
 
-    __slots__ = _fields = ("p", "prec", "lambda_cap")
+    __slots__ = _fields = ("p", "prec")
 
-    def __init__(self, p: int, prec: int = DEFAULT_PRECISION, lambda_cap: int = DEFAULT_LAMBDA_CAP):
+    def __init__(self, p: int, prec: int = DEFAULT_PRECISION):
         setfield(self, "p", p)
         setfield(self, "prec", int_from_json(prec))
-        setfield(self, "lambda_cap", int_from_json(lambda_cap))
 
     def zero(self) -> PadicNumber:
         return PadicNumber.zero(self.p, self.prec)
@@ -569,15 +562,14 @@ class PadicContext(Record):
     def scalar(self, *coeff_fractions) -> UniversalScalar:
         """Scalar from exact rational coefficients, constant term first."""
         return UniversalScalar.of(
-            [from_fraction(self.p, to_fraction(c), self.prec) for c in coeff_fractions],
-            self.lambda_cap,
+            [from_fraction(self.p, to_fraction(c), self.prec) for c in coeff_fractions]
         )
 
     def zero_scalar(self) -> UniversalScalar:
-        return UniversalScalar.of([self.zero()], self.lambda_cap)
+        return UniversalScalar.of([self.zero()])
 
     def lam(self) -> UniversalScalar:
-        return lambda_scalar(self.p, self.prec, self.lambda_cap)
+        return lambda_scalar(self.p, self.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -608,5 +600,5 @@ def scalar_to_json(x: UniversalScalar) -> dict:
     return {"coeffs": [padic_to_json(c) for c in x.coeffs]}
 
 
-def scalar_from_json(obj, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScalar:
-    return UniversalScalar.of(member(obj, "coeffs", items, padic_from_json), cap)
+def scalar_from_json(obj) -> UniversalScalar:
+    return UniversalScalar.of(member(obj, "coeffs", items, padic_from_json))

@@ -62,7 +62,7 @@ class EdgeLocalData(Record):
         if self.form is not None:
             return self.form.residue
         lead = self.raw_c.derive_at_zero()
-        return UniversalScalar.of([-lead], self.raw_c.cap)
+        return UniversalScalar.of([-lead])
 
 
 class LocalColemanData(Record):

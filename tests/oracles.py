@@ -27,7 +27,6 @@ from fractions import Fraction
 from perfbench import oracle
 from vologcalc.errors import PreconditionError
 from vologcalc.padic import (
-    DEFAULT_LAMBDA_CAP,
     PadicNumber,
     UniversalScalar,
     _vp,
@@ -233,7 +232,7 @@ def _one_unit_log(p: int, one_unit: int, abs_prec: int) -> PadicNumber:
     return from_fraction_abs(p, total, abs_prec)
 
 
-def iwasawa_log_reference(z: PadicNumber, cap: int = DEFAULT_LAMBDA_CAP) -> UniversalScalar:
+def iwasawa_log_reference(z: PadicNumber) -> UniversalScalar:
     """Universal-branch logarithm: log(<u>) + v(z) * L for z = p^v(z) u.
 
     The Teichmueller root of unity is split off (its log is 0), the 1-unit
@@ -245,6 +244,4 @@ def iwasawa_log_reference(z: PadicNumber, cap: int = DEFAULT_LAMBDA_CAP) -> Univ
     constant = _one_unit_log(
         z.p, z.unit * pow(_teichmuller(z.p, z.unit, z.prec), -1, z.p**z.prec) % z.p**z.prec, z.prec
     )
-    return UniversalScalar.of(
-        [constant, make_padic(z.p, z.val, 1, z.prec)], cap
-    )
+    return UniversalScalar.of([constant, make_padic(z.p, z.val, 1, z.prec)])

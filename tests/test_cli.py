@@ -416,18 +416,24 @@ def test_rational_json_rejects_floats(tmp_path, capsys):
 
 
 def test_exit_code_overflow(tmp_path, capsys):
-    # a raw value of branch degree 6 cannot enter a cap-4 computation
-    deep = {"coeffs": [{"p": 5, "val": 0, "unit": "1", "prec": 6}] * 7}
-    job = {
-        "p": 5,
-        "graph": json.loads((FIXTURES / "cycle3.json").read_text()),
-        "edges": [{"id": f"e{i}", "raw_c": deep} for i in range(3)],
-    }
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(job))
-    code, out = run_cli(["volog-assemble", "--job", str(path)], capsys)
-    assert code == 4
-    assert json.loads(out)["error"]["type"] == "overflow"
+    # a raw value of branch degree 6 cannot enter a cap-4 computation; a
+    # residue a_0 of degree 4 can, and the annulus jump's a_0 * L has degree 5
+    one = {"p": 5, "val": 0, "unit": "1", "prec": 6}
+    zero = {"coeffs": [{"p": 5, "val": 0, "unit": "0", "prec": 6}]}
+    deep = {"raw_c": {"coeffs": [one] * 7}}
+    jump = {"form": {"coeffs": {"0": {"coeffs": [one] * 5}}}, "C_tail": zero, "C_head": zero}
+    for edge, degree in ((deep, 6), (jump, 5)):
+        job = {
+            "p": 5,
+            "graph": json.loads((FIXTURES / "cycle3.json").read_text()),
+            "edges": [{"id": "e0", **edge}] + [{"id": f"e{i}", "raw_c": zero} for i in (1, 2)],
+        }
+        code, out = _run_assemble(tmp_path, capsys, job)
+        assert code == 4
+        assert out["error"] == {
+            "type": "overflow",
+            "message": f"branch-parameter degree {degree} exceeds the configured cap 4",
+        }
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -510,12 +516,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert str(target) in error["message"]
 
 
-def test_negative_lambda_cap_is_a_usage_error(capsys):
+def test_volog_assemble_takes_no_branch_cap_flag(capsys):
+    """The branch-degree cap is the constant `padic.LAMBDA_CAP`, not a flag."""
     code = run(["volog-assemble", "--job", str(FIXTURES / "job_assemble_cycle3.json"),
-                "--lambda-cap", "-1"])
+                "--lambda-cap", "4"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "--lambda-cap: expected a non-negative integer, got '-1'" in captured.err
+    assert "unrecognized arguments: --lambda-cap 4" in captured.err
 
 
 def test_errors_outside_the_input_contract_are_not_mapped(monkeypatch):

@@ -532,6 +532,18 @@ def test_normalize_unsupported_module():
         normalize_class(M, t)
 
 
+def test_triples_of_the_wrong_dimension_are_rejected():
+    """A long triple is not truncated and an empty one raises no IndexError:
+    check_cocycle checks the dimension for every entry point."""
+    M = kummer_module(5)
+    for t in (StTriple((0, 0), (1, 2), (3, 4)), StTriple((), (), ())):
+        for call in (normalize_class, synderi_check, lambda M, t: change_uniformizer_class(t, 1, M)):
+            with pytest.raises(
+                PreconditionError, match="class vectors x, y, z must each have the module dimension 1"
+            ):
+                call(M, t)
+
+
 # ---------------------------------------------------------------------------
 # uniformizer change and the derivative identity
 # ---------------------------------------------------------------------------

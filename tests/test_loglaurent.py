@@ -26,6 +26,7 @@ from vologcalc.loglaurent import (
     local_index,
 )
 from vologcalc.padic import (
+    LAMBDA_CAP,
     PadicContext,
     PadicNumber,
     UniversalScalar,
@@ -206,11 +207,11 @@ def test_cross_annulus_jump_keeps_the_residue_digits():
     for digit, whatever the context precision; a_0 at the degree cap still
     overflows."""
     ctx = PadicContext(5, 20)
-    a0 = UniversalScalar.of([make_padic(5, 7, 3, 40), make_padic(5, 10, 1, 40)], ctx.lambda_cap)
+    a0 = UniversalScalar.of([make_padic(5, 7, 3, 40), make_padic(5, 10, 1, 40)])
     got = cross_annulus_jump(AnnulusForm(ctx, {0: a0}), ctx.scalar(2), ctx.scalar(1))
     assert scalar_to_json(got) == scalar_to_json(UniversalScalar.of([ctx.scalar(1).coeffs[0], *a0.coeffs]))
     assert got.coeffs[1].abs_prec == 40 and got.coeffs[2].abs_prec == 41
-    top = UniversalScalar.of([make_padic(5, 1, 1, 40)] * (ctx.lambda_cap + 1), ctx.lambda_cap)
+    top = UniversalScalar.of([make_padic(5, 1, 1, 40)] * (LAMBDA_CAP + 1))
     with pytest.raises(LambdaDegreeOverflow):
         cross_annulus_jump(AnnulusForm(ctx, {0: top}), ctx.zero_scalar(), ctx.zero_scalar())
 

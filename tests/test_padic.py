@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from vologcalc.errors import LambdaDegreeOverflow, PreconditionError
 from vologcalc.padic import (
+    LAMBDA_CAP,
     PRIMALITY_BOUND,
     PadicContext,
     PadicNumber,
@@ -222,14 +223,15 @@ def test_specialize_commutes_with_a_cancelling_product():
     assert (x * x).specialize(c) == x.specialize(c) * x.specialize(c)
 
 
-def test_lambda_cap_overflow():
-    lam = lambda_scalar(5, 8, cap=2)
-    sq = lam * lam
-    assert sq.degree == 2
+def test_branch_degree_overflow_past_the_cap():
+    lam = top = lambda_scalar(5, 8)
+    for _ in range(LAMBDA_CAP - 1):
+        top = top * lam
+    assert top.degree == LAMBDA_CAP == 4
     with pytest.raises(
-        LambdaDegreeOverflow, match="branch-parameter degree 3 exceeds the configured cap 2"
+        LambdaDegreeOverflow, match="branch-parameter degree 5 exceeds the configured cap 4"
     ):
-        sq * lam
+        top * lam
 
 
 def test_scalar_arithmetic_and_derivative():

@@ -354,7 +354,6 @@ CONSTRUCTORS = {
     "divisor multiplicity": lambda x: heights.divisor([("a", x, 0), ("b", -1, 0)]),
     "PadicContext.scalar": lambda x: PadicContext(5).scalar(x),
     "PadicContext prec": lambda x: PadicContext(5, x).scalar(1),
-    "PadicContext lambda_cap": lambda x: PadicContext(5, 20, x).scalar(1),
     "make_padic numerator": lambda x: make_padic(5, x, 3, 4),
     "make_padic denominator": lambda x: make_padic(5, 1, x, 4),
     "make_padic precision": lambda x: make_padic(5, 1, 3, x),
